@@ -193,20 +193,10 @@ def cmd_lemmas(args) -> tuple[RunReport, None]:
             seed=args.seed,
         )
     else:
-        tower = _load_tower(args.tower)
-        spec = oracles.BallSpec(radius=args.radius, sample_cap=args.cap, seed=args.seed)
-        pair_spec = oracles.BallSpec(radius=min(args.radius, 2), sample_cap=args.cap, seed=args.seed)
-        results = [("tower", fn) for fn in (
-            oracles.check_dodatkowy(spec, tower, args.power_bound),
-            oracles.check_cent(pair_spec, tower),
-            oracles.check_cykr(spec, tower, min(args.power_bound, 3)),
-            oracles.check_ip(spec, tower),
-            oracles.check_nn(pair_spec, tower, args.power_bound),
-            oracles.check_jsc(pair_spec, tower, args.power_bound),
-            oracles.check_torsion(spec, tower, args.order_bound),
-        )]
-        if tower.num_steps and tower.steps[-1].is_free:
-            results.insert(0, ("tower", oracles.check_aabb(spec, tower)))
+        verdicts = oracles.tower_suite(
+            _load_tower(args.tower), args.radius, 2, args.power_bound, args.order_bound, args.cap, args.seed
+        )
+        results = [("tower", verdict) for verdict in verdicts]
     for name, verdict in results:
         report.add(
             f"{verdict.lemma_id}@{name}",

@@ -82,12 +82,9 @@ class ConjugacyLedger:
     x: Word
     entries: tuple[tuple[Word, LedgerEntry], ...] = ()
 
-    def _index(self) -> dict[Word, LedgerEntry]:
-        return dict(self.entries)
-
     def contains(self, w: Word, tower: ExtensionTower) -> bool:
         key, _ = cyclic_key(w, tower)
-        return key in self._index()
+        return any(k == key for k, _ in self.entries)
 
     def with_element(self, y: Word, conjugator: Word, power: int, tower: ExtensionTower) -> "ConjugacyLedger":
         """Record ``y == conjugator x^power conjugator^-1`` (verified here)."""
@@ -97,8 +94,7 @@ class ConjugacyLedger:
         if check != nf_word(y, tower):
             raise ValueError(f"certificate does not verify: {conjugator}, {power} vs {y}")
         key, carrier = cyclic_key(y, tower)
-        index = self._index()
-        if key in index:
+        if any(k == key for k, _ in self.entries):
             return self
         cert = LedgerEntry(key, nf_word(carrier.inverse() * conjugator, tower), power)
         return ConjugacyLedger(self.x, self.entries + ((key, cert),))
@@ -229,14 +225,13 @@ def initial_state(
     power_bound: int = 4,
     g0_mode: str = "free",
     base_rank: int = 2,
-    bound_floor: int = 16,
 ) -> ConstructionState:
     """Stage-0 state: seed group, distinguished element x = g0, seeded ledger."""
     if g0_mode not in ("free", "classical"):
         raise ValueError(f"unknown g0 mode {g0_mode!r}")
-    tower = ExtensionTower(base_rank, bound_floor=bound_floor)
+    tower = ExtensionTower(base_rank)
     if g0_mode == "classical":
-        seed = classical_state(base_rank, bound_floor=bound_floor)
+        seed = classical_state(base_rank)
         seed = classical_step(seed, 1)
         tower = seed.tower
     x = generator(0)
@@ -490,13 +485,13 @@ class ClassicalState:
     every pair letter available from the start.
     """
 
-    def __init__(self, base_rank: int = 2, bound_floor: int = 16):
-        self.tower = ExtensionTower(base_rank, bound_floor=bound_floor)
+    def __init__(self, base_rank: int = 2):
+        self.tower = ExtensionTower(base_rank)
         self.snapshots: tuple[ExtensionTower, ...] = (self.tower,)
         self.pair_stage: dict[tuple[Word, Word], int] = {}
 
     def copy(self) -> "ClassicalState":
-        dup = ClassicalState(self.tower.base_rank, self.tower.bound_floor)
+        dup = ClassicalState(self.tower.base_rank)
         dup.tower = self.tower
         dup.snapshots = self.snapshots
         dup.pair_stage = dict(self.pair_stage)
@@ -512,8 +507,8 @@ class ClassicalState:
         return stage
 
 
-def classical_state(base_rank: int = 2, bound_floor: int = 16) -> ClassicalState:
-    return ClassicalState(base_rank, bound_floor)
+def classical_state(base_rank: int = 2) -> ClassicalState:
+    return ClassicalState(base_rank)
 
 
 def classical_step(state: ClassicalState, ball_radius: int) -> ClassicalState:

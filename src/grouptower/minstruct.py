@@ -260,21 +260,14 @@ def axiom_suite(mode: str, domain_bound: int = 8, z_copies: int = 3, z_span: int
         checked += 2
         if add(x, zero_el) != x or add(x, x) != zero_el:
             bad.append(str(x))
-    # addition agrees with xor on support masks; associativity is then
-    # checked exhaustively over the mask image
-    mask_list = []
+    # addition agrees with xor on support masks (a sum outside the domain
+    # has no mask); masks are injective, so this carries associativity and
+    # commutativity of xor over to ``add``
     for x in dom:
-        mask_list.append(masks[x])
         for y in dom:
             checked += 1
             if masks[add(x, y)] != masks[x] ^ masks[y]:
                 bad.append(f"{x}+{y}")
-    for mx in mask_list:
-        for my in mask_list:
-            mxy = mx ^ my
-            checked += len(mask_list)
-            if any((mxy ^ mz) != (mx ^ (my ^ mz)) for mz in mask_list):
-                bad.append(f"assoc@{mx},{my}")
     results.append(AxiomResult("1-group-exponent-2", not bad, checked, witnesses=tuple(bad[:4])))
 
     # 2: zero below every nonzero element

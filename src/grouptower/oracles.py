@@ -1,17 +1,21 @@
 """Bounded brute-force verifiers for the tower conjugacy and root lemmas.
 
-Every oracle scans tuples drawn from a ball of normal forms, evaluates a
-predicate, and reports one of four outcomes: a pass backed by at least one
+Every oracle builds a stream of tuples drawn from a ball of normal forms and
+a predicate over them, and hands both to one scan driver, ``_scan``.  The
+driver reports one of four outcomes: a pass backed by at least one
 premise-satisfying tuple, a vacuous pass when no tuple met the premise, a
 counterexample carrying replayable witness words, or an undecided verdict
 when bounded membership searches could not certify every tuple.  Identical
-specs (including the seed) give identical verdicts.
+specs (including the seed) give identical verdicts.  ``tower_suite`` runs
+all eight oracles on one tower; ``run_standard_suite`` and ``lemmas
+--tower`` both run it.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .words import Word, identity, t_length
 from .tower import (
@@ -105,7 +109,26 @@ def _tuples(items: tuple[Word, ...], arity: int, spec: BallSpec):
         yield tuple(rng.choice(items) for _ in range(arity))
 
 
-def _verdict(lemma_id, checked, hits, undecided, witnesses) -> OracleVerdict:
+def _scan(lemma_id: str, tuples, predicate, checked: int = 0, undecided: int = 0) -> OracleVerdict:
+    """Evaluate ``predicate(*args)`` on every tuple.  ``None`` means the
+    premise is unmet, ``MembershipUndecided`` is counted and skipped, and a
+    falsy result is a counterexample whose witness is the text of its
+    arguments.  ``checked`` and ``undecided`` start from counts the caller
+    made outside the stream."""
+    hits = 0
+    witnesses = []
+    for args in tuples:
+        checked += 1
+        try:
+            res = predicate(*args)
+        except MembershipUndecided:
+            undecided += 1
+            continue
+        if res is None:
+            continue
+        hits += 1
+        if not res:
+            witnesses.append(tuple(str(x) for x in args))
     if witnesses:
         outcome = COUNTEREXAMPLE
     elif undecided:
@@ -215,50 +238,23 @@ def has_no_small_torsion(tower: ExtensionTower, w: Word, order_bound: int) -> bo
 def check_aabb(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
     if tower.num_steps == 0 or not tower.steps[-1].is_free:
         raise PreconditionViolated("this check needs a final free-product step")
-    ball = _ball(spec, tower)
-    checked = hits = undecided = 0
-    witnesses = []
-    for a, b in _tuples(ball, 2, spec):
-        checked += 1
-        try:
-            res = square_inverse_pair_conjugate(tower, a, b)
-        except MembershipUndecided:
-            undecided += 1
-            continue
-        if res is None:
-            continue
-        hits += 1
-        if not res:
-            witnesses.append((str(a), str(b)))
-    return _verdict("aabb", checked, hits, undecided, witnesses)
+    return _scan("aabb", _tuples(_ball(spec, tower), 2, spec), partial(square_inverse_pair_conjugate, tower))
+
+
+def _with_powers(ball, power_bound: int):
+    return ((w, n) for w in ball for n in range(1, power_bound + 1))
 
 
 def check_dodatkowy(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> OracleVerdict:
     ball = _ball(spec, tower)
-    checked = hits = undecided = 0
-    witnesses = []
-    for a in ball:
-        for n in range(1, power_bound + 1):
-            checked += 1
-            try:
-                res = powers_stay_outside(tower, a, n)
-            except MembershipUndecided:
-                undecided += 1
-                continue
-            if res is None:
-                continue
-            hits += 1
-            if not res:
-                witnesses.append((str(a), str(n)))
-    return _verdict("dodatkowy", checked, hits, undecided, witnesses)
+    return _scan("dodatkowy", _with_powers(ball, power_bound), partial(powers_stay_outside, tower))
 
 
 def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
     """Scan commuting pairs first, then complete them with a commuting third
     element; this keeps the triple scan exhaustive at small radius."""
     ball = _ball(spec, tower)
-    checked = hits = undecided = 0
-    witnesses = []
+    undecided = 0
     pairs = []
     for w, c in _tuples(ball, 2, spec):
         try:
@@ -266,59 +262,17 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
                 pairs.append((w, c))
         except MembershipUndecided:
             undecided += 1
-    for w, c in pairs:
-        for a in ball:
-            checked += 1
-            try:
-                res = common_cyclic_centralizer(tower, w, c, a)
-            except MembershipUndecided:
-                undecided += 1
-                continue
-            if res is None:
-                continue
-            hits += 1
-            if not res:
-                witnesses.append((str(w), str(c), str(a)))
-    return _verdict("cent", checked, hits, undecided, witnesses)
+    triples = ((w, c, a) for w, c in pairs for a in ball)
+    return _scan("cent", triples, partial(common_cyclic_centralizer, tower), undecided=undecided)
 
 
 def check_cykr(spec: BallSpec, tower: ExtensionTower, power_bound: int = 3) -> OracleVerdict:
     ball = _ball(spec, tower)
-    checked = hits = undecided = 0
-    witnesses = []
-    for zeta in ball:
-        for n in range(1, power_bound + 1):
-            checked += 1
-            try:
-                res = root_of_cyclically_reduced_power(tower, zeta, n)
-            except MembershipUndecided:
-                undecided += 1
-                continue
-            if res is None:
-                continue
-            hits += 1
-            if not res:
-                witnesses.append((str(zeta), str(n)))
-    return _verdict("cykr", checked, hits, undecided, witnesses)
+    return _scan("cykr", _with_powers(ball, power_bound), partial(root_of_cyclically_reduced_power, tower))
 
 
 def check_ip(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
-    ball = _ball(spec, tower)
-    checked = hits = undecided = 0
-    witnesses = []
-    for a in ball:
-        checked += 1
-        try:
-            res = minimal_root_bound(tower, a)
-        except MembershipUndecided:
-            undecided += 1
-            continue
-        if res is None:
-            continue
-        hits += 1
-        if not res:
-            witnesses.append((str(a),))
-    return _verdict("ip", checked, hits, undecided, witnesses)
+    return _scan("ip", ((a,) for a in _ball(spec, tower)), partial(minimal_root_bound, tower))
 
 
 def _power_profiles(ball, tower, power_bound, rootless_only):
@@ -339,75 +293,78 @@ def _power_profiles(ball, tower, power_bound, rootless_only):
 
 def check_nn(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> OracleVerdict:
     ball = _ball(spec, tower)
-    checked = hits = undecided = 0
-    witnesses = []
-    profiles = _power_profiles(ball, tower, power_bound, rootless_only=False)
-    pool = tuple(p[0] for p in profiles)
-    powers = dict(profiles)
-    for a, b in _tuples(pool, 2, spec):
-        for n in range(1, power_bound + 1):
-            checked += 1
-            if powers[a][n - 1] != powers[b][n - 1]:
-                continue
-            hits += 1
-            if nf_word(a, tower) != nf_word(b, tower):
-                witnesses.append((str(a), str(b), str(n)))
-    checked += (len(ball) - len(pool)) * power_bound  # ineligible elements, premise unmet
-    return _verdict("nn", checked, hits, undecided, witnesses)
+    powers = dict(_power_profiles(ball, tower, power_bound, rootless_only=False))
+    pool = tuple(powers)
+
+    def equal_roots(a, b, n):
+        if powers[a][n - 1] != powers[b][n - 1]:
+            return None
+        return nf_word(a, tower) == nf_word(b, tower)
+
+    triples = ((a, b, n) for a, b in _tuples(pool, 2, spec) for n in range(1, power_bound + 1))
+    # ineligible elements are checked too, with their premise unmet
+    ineligible = (len(ball) - len(pool)) * power_bound
+    return _scan("nn", triples, equal_roots, checked=ineligible)
 
 
 def check_jsc(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> OracleVerdict:
     ball = _ball(spec, tower)
-    checked = hits = undecided = 0
-    witnesses = []
-    profiles = _power_profiles(ball, tower, power_bound, rootless_only=True)
-    pool = tuple(p[0] for p in profiles)
-    powers = dict(profiles)
-    for a, b in _tuples(pool, 2, spec):
-        for n in range(1, power_bound + 1):
-            for m in range(1, power_bound + 1):
-                checked += 1
-                if powers[a][n - 1] != powers[b][m - 1]:
-                    continue
-                hits += 1
-                if n != m or nf_word(a, tower) != nf_word(b, tower):
-                    witnesses.append((str(a), str(b), str(n), str(m)))
-    return _verdict("jsc", checked, hits, undecided, witnesses)
+    powers = dict(_power_profiles(ball, tower, power_bound, rootless_only=True))
+    exponents = range(1, power_bound + 1)
+
+    def rigid(a, b, n, m):
+        if powers[a][n - 1] != powers[b][m - 1]:
+            return None
+        return n == m and nf_word(a, tower) == nf_word(b, tower)
+
+    quads = ((a, b, n, m) for a, b in _tuples(tuple(powers), 2, spec) for n in exponents for m in exponents)
+    return _scan("jsc", quads, rigid)
 
 
 def check_torsion(spec: BallSpec, tower: ExtensionTower, order_bound: int = 5) -> OracleVerdict:
-    ball = _ball(spec, tower)
-    checked = hits = undecided = 0
-    witnesses = []
-    for w in ball:
-        checked += 1
-        try:
-            res = has_no_small_torsion(tower, w, order_bound)
-        except MembershipUndecided:
-            undecided += 1
-            continue
-        if res is None:
-            continue
-        hits += 1
-        if not res:
-            witnesses.append((str(w),))
-    return _verdict("torsion", checked, hits, undecided, witnesses)
+    singles = ((w,) for w in _ball(spec, tower))
+    return _scan("torsion", singles, lambda w: has_no_small_torsion(tower, w, order_bound))
 
 
 # --------------------------------------------------------------------------
-# standard suite
+# suites
 # --------------------------------------------------------------------------
 
 
-def standard_towers(bound_floor: int = 16) -> dict[str, ExtensionTower]:
+def standard_towers() -> dict[str, ExtensionTower]:
     """The two reference towers the suite runs on: a free-product step on a
     rank-2 base, and the same plus a cyclic-edge step conjugating g0 onto
     the free letter."""
     from .words import generator, stable as stable_word
 
-    free_top = ExtensionTower(2, bound_floor=bound_floor).extend_free()
+    free_top = ExtensionTower(2).extend_free()
     mixed = free_top.extend_hnn(generator(0), stable_word(1))
     return {"free_z": free_top, "hnn": mixed}
+
+
+def tower_suite(
+    tower: ExtensionTower, radius: int, pair_radius: int, power_bound: int, order_bound: int, sample_cap: int, seed: int
+) -> list[OracleVerdict]:
+    """All oracles that apply to ``tower``: ``aabb`` only over a final free
+    step, ``cent`` at radius at most 2 and the pair scans ``nn``/``jsc`` at
+    ``pair_radius``, all radii trimmed to ``radius``."""
+
+    def spec(r: int) -> BallSpec:
+        return BallSpec(radius=min(r, radius), sample_cap=sample_cap, seed=seed)
+
+    verdicts = []
+    if tower.num_steps and tower.steps[-1].is_free:
+        verdicts.append(check_aabb(spec(radius), tower))
+    verdicts += [
+        check_dodatkowy(spec(radius), tower, power_bound),
+        check_cent(spec(2), tower),
+        check_cykr(spec(radius), tower, min(power_bound, 3)),
+        check_ip(spec(radius), tower),
+        check_nn(spec(pair_radius), tower, power_bound),
+        check_jsc(spec(pair_radius), tower, power_bound),
+        check_torsion(spec(radius), tower, order_bound),
+    ]
+    return verdicts
 
 
 def run_standard_suite(
@@ -417,25 +374,14 @@ def run_standard_suite(
     sample_cap: int = 4000,
     seed: int = 0,
 ) -> list[tuple[str, OracleVerdict]]:
-    """All eight oracles over the reference towers, with per-tower radii
-    trimmed so pair scans stay exhaustive where the ball allows."""
+    """All eight oracles over the reference towers; the pair scans run at
+    full radius on ``free_z`` and at radius 2 on ``hnn``, so they stay
+    exhaustive where the ball allows."""
     towers = standard_towers()
-    results: list[tuple[str, OracleVerdict]] = []
-
-    def spec(r: int) -> BallSpec:
-        return BallSpec(radius=min(r, radius), sample_cap=sample_cap, seed=seed)
-
-    free_top = towers["free_z"]
-    mixed = towers["hnn"]
-    results.append(("free_z", check_aabb(spec(radius), free_top)))
-    for name, tower, pair_radius in (("free_z", free_top, radius), ("hnn", mixed, 2)):
-        results.append((name, check_dodatkowy(spec(radius), tower, power_bound)))
-        results.append((name, check_cent(spec(2), tower)))
-        results.append((name, check_cykr(spec(radius), tower, min(power_bound, 3))))
-        results.append((name, check_ip(spec(radius), tower)))
-        results.append((name, check_nn(spec(pair_radius), tower, power_bound)))
-        results.append((name, check_jsc(spec(pair_radius), tower, power_bound)))
-        results.append((name, check_torsion(spec(radius), tower, order_bound)))
+    results = []
+    for name, pair_radius in (("free_z", radius), ("hnn", 2)):
+        verdicts = tower_suite(towers[name], radius, pair_radius, power_bound, order_bound, sample_cap, seed)
+        results += [(name, verdict) for verdict in verdicts]
     return results
 
 

@@ -35,6 +35,10 @@ from .words import (
 )
 
 
+# minimum |k| window of the bounded power and coset searches
+BOUND_FLOOR = 16
+
+
 class MembershipUndecided(Exception):
     """A bounded membership or coset search ended without a certificate.
 
@@ -77,33 +81,25 @@ class ExtensionStep:
 
 @dataclass(frozen=True, eq=False)
 class ExtensionTower:
-    """A base free group plus an ordered sequence of extension steps.
-
-    ``bound_floor`` is the minimum |k| window for bounded power searches and
-    is part of the tower value so results are reproducible.
-    """
+    """A base free group plus an ordered sequence of extension steps."""
 
     base_rank: int
     steps: tuple[ExtensionStep, ...] = ()
-    bound_floor: int = 16
 
     def __post_init__(self) -> None:
         if self.base_rank < 1:
             raise ValueError("base rank must be positive")
-        if self.bound_floor < 4:
-            raise ValueError("bound floor is unusably small")
         for i, step in enumerate(self.steps, start=1):
             if step.stage != i:
                 raise ValueError(f"step {i} carries stage {step.stage}")
         # towers key every memoized engine call; hashing must not walk the
         # steps each time
-        object.__setattr__(self, "_hash", hash((self.base_rank, self.steps, self.bound_floor)))
+        object.__setattr__(self, "_hash", hash((self.base_rank, self.steps)))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ExtensionTower)
             and self.base_rank == other.base_rank
-            and self.bound_floor == other.bound_floor
             and self.steps == other.steps
         )
 
@@ -121,11 +117,11 @@ class ExtensionTower:
         """The tower consisting of the first ``stage`` steps."""
         if not 0 <= stage <= self.num_steps:
             raise ValueError(f"no stage {stage} in this tower")
-        return ExtensionTower(self.base_rank, self.steps[:stage], self.bound_floor)
+        return ExtensionTower(self.base_rank, self.steps[:stage])
 
     def extend_free(self) -> "ExtensionTower":
         step = ExtensionStep(self.num_steps + 1)
-        return ExtensionTower(self.base_rank, self.steps + (step,), self.bound_floor)
+        return ExtensionTower(self.base_rank, self.steps + (step,))
 
     def extend_hnn(self, source: Word, target: Word) -> "ExtensionTower":
         """Adjoin ``t source t^-1 = target``; edge words are canonicalized first."""
@@ -134,7 +130,7 @@ class ExtensionTower:
         if not src or not tgt:
             raise PreconditionViolated("edge words must be nonidentity")
         step = ExtensionStep(self.num_steps + 1, src, tgt)
-        return ExtensionTower(self.base_rank, self.steps + (step,), self.bound_floor)
+        return ExtensionTower(self.base_rank, self.steps + (step,))
 
     def validate_word(self, w: Word) -> None:
         for lt in w.letters:
@@ -386,7 +382,7 @@ def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int, bound: int | 
             return None
         return wlt.exponent // glt.exponent
     if bound is None:
-        bound = max(nfw.unit_length, tower.bound_floor)
+        bound = max(nfw.unit_length, BOUND_FLOOR)
     return _table(nfg, tower, stage).locate(nfw, bound)
 
 
@@ -420,7 +416,7 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, 
         return 0, nfa
     best_k, best = 0, nfa
     best_key = sort_key(nfa)
-    window = max(nfa.unit_length, tower.bound_floor) + 4
+    window = max(nfa.unit_length, BOUND_FLOOR) + 4
     undecided = False
     for side in (1, -1):
         run = 0
@@ -578,7 +574,7 @@ def minimal_root(a: Word, tower: ExtensionTower) -> tuple[Word, int]:
     count = len(signs)
     target = _nf(body, tower, tower.num_steps)
     step = tower.step(s)
-    limit = body.unit_length + tower.bound_floor
+    limit = body.unit_length + BOUND_FLOOR
     for degree in range(count, 1, -1):
         if count % degree:
             continue

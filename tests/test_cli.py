@@ -5,6 +5,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from grouptower.cli import build_parser, main
+from grouptower.oracles import run_standard_suite, standard_towers
+from grouptower.tower import format_tower
 
 
 def run_cli(argv):
@@ -111,6 +113,24 @@ class TestSubcommands:
         tree = json.loads(out)
         assert code == 0
         assert all(c["verdict"] in ("pass", "vacuous_pass") for c in tree["checks"])
+
+    @pytest.mark.parametrize("name", ["free_z", "hnn"])
+    def test_lemmas_tower_file_matches_standard_suite(self, name, tmp_path):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_tower(standard_towers()[name]))
+        code, out = run_cli(["lemmas", "--tower", str(path), "--radius", "2", "--format", "structured"])
+        got = [
+            (c["id"].split("@")[0], c["verdict"], c["details"]["checked"], c["details"]["premise_hits"],
+             c["details"]["undecided"])
+            for c in json.loads(out)["checks"]
+        ]
+        want = [
+            (v.lemma_id, v.outcome, v.checked, v.premise_hits, v.undecided)
+            for n, v in run_standard_suite(radius=2)
+            if n == name
+        ]
+        assert code == 0
+        assert got == want
 
 
 class TestDeterminism:

@@ -130,6 +130,23 @@ class TestAxiomSuite:
             "7-addition-vs-order",
         ]
 
+    def test_non_associative_addition_fails_axiom_one(self, monkeypatch):
+        import grouptower.minstruct as minstruct
+
+        # a commutative sum with identity and x+x = 0 that is not
+        # associative: ({0}+{1})+{1} = {0,2}
+        def skewed(a, b):
+            if {a.support, b.support} == {frozenset({0}), frozenset({1})}:
+                return e(0, 1, 2)
+            return add(a, b)
+
+        monkeypatch.setattr(minstruct, "add", skewed)
+        assert skewed(skewed(e(0), e(1)), e(1)) != e(0)
+        first = axiom_suite(OMEGA, 4).results[0]
+        assert first.axiom == "1-group-exponent-2"
+        assert not first.passed
+        assert "{0}+{1}" in first.witnesses
+
     def test_domain_cap(self):
         with pytest.raises(ValueError):
             elements_over(OMEGA, list(range(20)))

@@ -1,10 +1,13 @@
 import pytest
 
 from grouptower.words import parse_word
-from grouptower.tower import ExtensionTower, nf_word
+from grouptower.tower import ExtensionTower, MembershipUndecided, nf_word
 from grouptower.oracles import (
+    COUNTEREXAMPLE,
     PASS,
+    UNDECIDED,
     VACUOUS,
+    _scan,
     BallSpec,
     CapExceeded,
     check_aabb,
@@ -19,6 +22,7 @@ from grouptower.oracles import (
     run_standard_suite,
     square_inverse_pair_conjugate,
     standard_towers,
+    tower_suite,
 )
 
 W = parse_word
@@ -120,3 +124,60 @@ class TestLemmaOracles:
         assert all(v.is_ok for _, v in results)
         vacuous = [v.lemma_id for _, v in results if v.outcome == VACUOUS]
         assert vacuous == ["aabb"]
+
+
+# (lemma@tower, outcome, checked, premise_hits, undecided) of the radius-2
+# standard suite with default bounds, cap and seed
+RADIUS_2_ROWS = [
+    ("aabb@free_z", "vacuous_pass", 1369, 0, 0),
+    ("dodatkowy@free_z", "pass", 148, 80, 0),
+    ("cent@free_z", "pass", 6253, 244, 0),
+    ("cykr@free_z", "pass", 111, 60, 0),
+    ("ip@free_z", "pass", 37, 20, 0),
+    ("nn@free_z", "pass", 1668, 80, 0),
+    ("jsc@free_z", "pass", 5184, 72, 0),
+    ("torsion@free_z", "pass", 37, 36, 0),
+    ("dodatkowy@hnn", "pass", 244, 96, 0),
+    ("cent@hnn", "pass", 16653, 280, 0),
+    ("cykr@hnn", "pass", 183, 72, 0),
+    ("ip@hnn", "pass", 61, 24, 0),
+    ("nn@hnn", "pass", 2452, 96, 0),
+    ("jsc@hnn", "pass", 7744, 88, 0),
+    ("torsion@hnn", "pass", 61, 60, 0),
+]
+
+
+def rows(results):
+    return [(f"{v.lemma_id}@{n}", v.outcome, v.checked, v.premise_hits, v.undecided) for n, v in results]
+
+
+class TestSuites:
+    def test_radius_two_standard_suite_pinned(self):
+        assert rows(run_standard_suite(radius=2)) == RADIUS_2_ROWS
+
+    def test_tower_suite_trims_radii(self):
+        # cent and the pair scans never exceed the suite radius
+        by_id = {v.lemma_id: v for v in tower_suite(FREEZ, 1, 3, 4, 5, 4000, 0)}
+        assert by_id["cent"] == check_cent(BallSpec(radius=1), FREEZ)
+        assert by_id["nn"] == check_nn(BallSpec(radius=1), FREEZ, 4)
+
+
+class TestScanDriver:
+    def test_counts_undecided_and_keeps_argument_text(self):
+        def predicate(w, n):
+            if n == 1:
+                raise MembershipUndecided("no certificate")
+            if n == 2:
+                return None
+            return str(w) != "g0"
+
+        verdict = _scan("demo", [(W("g0"), n) for n in (1, 2, 3)] + [(W("g1"), 3)], predicate)
+        assert (verdict.checked, verdict.premise_hits, verdict.undecided) == (4, 2, 1)
+        assert verdict.outcome == COUNTEREXAMPLE
+        assert verdict.witnesses == (("g0", "3"),)
+
+    def test_outcomes_without_witnesses(self):
+        assert _scan("demo", [(1,), (2,)], lambda k: None).outcome == VACUOUS
+        assert _scan("demo", [(1,)], lambda k: True).outcome == PASS
+        assert _scan("demo", [(1,)], lambda k: True, undecided=1).outcome == UNDECIDED
+        assert _scan("demo", [(1,)], lambda k: True, checked=5).checked == 6
