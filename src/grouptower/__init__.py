@@ -1,7 +1,7 @@
 """Layered HNN-tower word calculus with bounded conjugacy oracles, exact
 field-extension matrix identities, and ordered exponent-2 group models."""
 
-from .words import Letter, Word, concat, cyclic_permutations, invert, max_stage, parse_word, t_length
+from .words import Letter, Word, cyclic_permutations, max_stage, parse_word, t_length
 from .tower import (
     ExtensionStep,
     ExtensionTower,
@@ -24,8 +24,6 @@ from .tower import (
 __all__ = [
     "Letter",
     "Word",
-    "concat",
-    "invert",
     "t_length",
     "cyclic_permutations",
     "max_stage",

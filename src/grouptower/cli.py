@@ -289,21 +289,11 @@ def cmd_minstruct(args) -> tuple[RunReport, None]:
                 {"checked": res.checked},
                 witnesses=res.witnesses,
             )
-    pts = list(range(args.support_bound))
-    dom = minstruct.elements_over(minstruct.OMEGA, pts)
-    mismatch = 0
-    pairs = 0
-    for a in dom:
-        for b in dom:
-            if minstruct.less(a, b):
-                pairs += 1
-                gap = minstruct.points_between(minstruct.OMEGA, minstruct.degree(a), minstruct.degree(b))
-                if minstruct.max_chain_brute(a, b, dom) != gap:
-                    mismatch += 1
+    pairs, mismatches = minstruct.chain_cross_check(args.support_bound)
     report.add(
         "chain-cross-check",
-        "pass" if mismatch == 0 else "counterexample",
-        {"pairs": pairs, "mismatches": mismatch},
+        "pass" if mismatches == 0 else "counterexample",
+        {"pairs": pairs, "mismatches": mismatches},
     )
     embedded = minstruct.embedding_check(args.embed_bound)
     report.add("embedding", "pass" if embedded else "counterexample", {"bound": args.embed_bound})

@@ -375,8 +375,8 @@ def check_conditions(
     elements gain no centralizing element involving the newest letter.
     Rigidity: for non-ledger ball elements y with witness z, any conjugate
     ``w y^m w^-1`` landing in <z> forces w into <z>.  Progress: the fraction
-    of the seed ball certified conjugate to x never decreases.  Undecided
-    membership searches are counted, never silently dropped.
+    of the seed ball certified conjugate to x never decreases.  Tuples left
+    undecided by a bounded coset search are counted, never silently dropped.
     """
     if state.stage < 1:
         raise PreconditionViolated("condition checks need at least one step")

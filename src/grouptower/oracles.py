@@ -5,10 +5,10 @@ a predicate over them, and hands both to one scan driver, ``_scan``.  The
 driver reports one of four outcomes: a pass backed by at least one
 premise-satisfying tuple, a vacuous pass when no tuple met the premise, a
 counterexample carrying replayable witness words, or an undecided verdict
-when bounded membership searches could not certify every tuple.  Identical
-specs (including the seed) give identical verdicts.  ``tower_suite`` runs
-all eight oracles on one tower; ``run_standard_suite`` and ``lemmas
---tower`` both run it.
+when a bounded coset search raised ``MembershipUndecided`` on some tuple.
+Identical specs (including the seed) give identical verdicts.
+``tower_suite`` runs all eight oracles on one tower;
+``run_standard_suite`` and ``lemmas --tower`` both run it.
 """
 from __future__ import annotations
 

@@ -9,13 +9,15 @@ time.  Each step adjoins a fresh stable letter ``t`` and is either
 
 On top of the resulting groups this module provides reduction to pinch-free
 words, canonical normal forms (so word equality decides group equality),
-cyclic reduction, conjugacy-into-stage tests, bounded cyclic-subgroup
-membership, root extraction, commutation tests and centralizer balls.
+cyclic reduction, conjugacy-into-stage tests, cyclic-subgroup membership,
+root extraction, commutation tests and centralizer balls.
 
-Membership in a cyclic subgroup is only semi-decidable by power search; the
-searches here are bounded and certify absence via monotone growth of
-normal-form lengths.  When neither a match nor a certificate is found inside
-the bound, :class:`MembershipUndecided` is raised rather than guessing.
+Membership in a cyclic subgroup is decided exactly: after cyclic reduction
+of the generator, Britton's lemma fixes the only possible exponent up to
+sign.  Coset representatives are still found by a bounded window search
+that certifies its minimum via monotone growth of normal-form lengths; when
+no certificate is found inside the window, :class:`MembershipUndecided` is
+raised rather than guessing.
 """
 from __future__ import annotations
 
@@ -35,15 +37,15 @@ from .words import (
 )
 
 
-# minimum |k| window of the bounded power and coset searches
+# minimum |k| window of the coset search and of minimal_root's twist search
 BOUND_FLOOR = 16
 
 
 class MembershipUndecided(Exception):
-    """A bounded membership or coset search ended without a certificate.
+    """A bounded search ended without an answer: a coset window without a
+    certificate, or a cyclic-membership exponent beyond the caller's bound.
 
-    Raising instead of returning keeps wrong answers out of normal forms;
-    the caller can retry with a larger bound.
+    Raising instead of returning keeps wrong answers out of normal forms.
     """
 
 
@@ -271,75 +273,24 @@ def _nf(word: Word, tower: ExtensionTower, stage: int) -> Word:
 
 
 class _PowerTable:
-    """Lazily extended table of normal forms of powers of one word.
+    """Lazily extended cache of the normal forms of powers of one word."""
 
-    Supports membership queries ``w == base^k`` with a growth certificate:
-    once three consecutive power lengths strictly increase past the query
-    length, larger powers cannot match.
-    """
-
-    __slots__ = ("base", "tower", "stage", "words", "lengths", "index")
+    __slots__ = ("tower", "stage", "words")
 
     def __init__(self, base: Word, tower: ExtensionTower, stage: int):
-        self.base = base
         self.tower = tower
         self.stage = stage
-        inv = _nf(base.inverse(), tower, stage)
-        self.words = {0: IDENTITY, 1: base, -1: inv}
-        self.lengths = {1: [base.unit_length], -1: [inv.unit_length]}
-        self.index: dict[Word, int] = {IDENTITY: 0, base: 1}
-        self.index.setdefault(inv, -1)
-
-    def _extend(self, side: int) -> None:
-        ks = self.lengths[side]
-        k = (len(ks) + 1) * side
-        nxt = _nf(self.words[k - side] * self.words[side], self.tower, self.stage)
-        self.words[k] = nxt
-        ks.append(nxt.unit_length)
-        self.index.setdefault(nxt, k)
-
-    def _certified(self, side: int, length: int, upto: int) -> bool:
-        ks = self.lengths[side]
-        run = 0
-        prev = None
-        for i in range(min(len(ks), upto)):
-            cur = ks[i]
-            if cur > length and (prev is None or cur > prev):
-                run += 1
-                if run >= 3:
-                    return True
-            else:
-                run = 0
-            prev = cur
-        return False
+        self.words = {0: IDENTITY, 1: base, -1: _nf(base.inverse(), tower, stage)}
 
     def power(self, k: int) -> Word:
-        side = 1 if k >= 0 else -1
-        while abs(k) > len(self.lengths[side]):
-            self._extend(side)
-        return self.words[k]
-
-    def locate(self, w: Word, bound: int) -> int | None:
-        if w == IDENTITY:
-            return 0
-        length = w.unit_length
-        undecided = False
-        for side in (1, -1):
-            while True:
-                k = self.index.get(w)
-                if k is not None:
-                    return k
-                if self._certified(side, length, len(self.lengths[side])):
-                    break
-                if len(self.lengths[side]) >= bound:
-                    undecided = True
-                    break
-                self._extend(side)
-        if undecided:
-            raise MembershipUndecided(
-                f"no power of {self.base} matched {w} within |k| <= {bound} and no growth certificate"
-            )
-        return None
+        words, side = self.words, 1 if k >= 0 else -1
+        j = k
+        while j not in words:
+            j -= side
+        while j != k:
+            j += side
+            words[j] = _nf(words[j - side] * words[side], self.tower, self.stage)
+        return words[k]
 
 
 _power_tables: dict[tuple[Word, ExtensionTower, int], _PowerTable] = {}
@@ -364,8 +315,32 @@ def _power_word(base: Word, k: int, tower: ExtensionTower, stage: int) -> Word:
     return _table(nfb, tower, stage).power(k)
 
 
-def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int, bound: int | None = None) -> int | None:
-    """k with w == gen^k in the stage group, or None; may raise MembershipUndecided."""
+def _stage_length(w: Word, stage: int) -> int:
+    """Number of t_stage units of ``w``; its unit length when ``stage == 0``."""
+    if stage == 0:
+        return w.unit_length
+    return sum(abs(lt[2]) for lt in w.letters if lt[0] == STABLE and lt[1] == stage)
+
+
+@lru_cache(maxsize=1 << 16)
+def _cyclic_shape(gen: Word, tower: ExtensionTower) -> tuple[Word, Word, int, int]:
+    """``(c, y, s, L)`` with ``gen = y c y^-1``, ``c`` cyclically reduced,
+    ``s`` the top stage of ``c`` and ``L`` its stage length."""
+    c, y = cyclically_reduce(gen, tower)
+    s = max_stage(c)
+    return c, y, s, _stage_length(c, s)
+
+
+def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None:
+    """k with w == gen^k in the stage group, or None.
+
+    Decided exactly: with ``gen = y c y^-1`` and ``c`` cyclically reduced
+    at top stage ``s``, every power ``c^k`` is reduced with ``|k| L``
+    stage-``s`` units (in the free base: ``|c^k| = |k||c|``), and reduced
+    words of one element agree on that count (Britton's lemma).  So
+    ``y^-1 w y`` fixes ``k`` up to sign and two power comparisons decide.
+    Only the normal forms compared can raise, from a coset window.
+    """
     nfw = _nf(w, tower, stage)
     nfg = _nf(gen, tower, stage)
     if not nfg:
@@ -381,9 +356,17 @@ def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int, bound: int | 
         if wlt.symbol != glt.symbol or wlt.exponent % glt.exponent:
             return None
         return wlt.exponent // glt.exponent
-    if bound is None:
-        bound = max(nfw.unit_length, BOUND_FLOOR)
-    return _table(nfg, tower, stage).locate(nfw, bound)
+    c, y, s, length = _cyclic_shape(nfg, tower)
+    v = _nf(y.inverse() * nfw * y, tower, stage) if y else nfw
+    if max_stage(v) > s:
+        return None
+    k, rest = divmod(_stage_length(v, s), length)
+    if rest or not k:
+        return None
+    for cand in (k, -k):
+        if _power_word(c, cand, tower, stage) == v:
+            return cand
+    return None
 
 
 @lru_cache(maxsize=1 << 18)
@@ -477,12 +460,19 @@ def equal(u: Word, v: Word, tower: ExtensionTower) -> bool:
 
 
 def in_cyclic(w: Word, g: Word, tower: ExtensionTower, bound: int | None = None) -> int | None:
-    """k with ``w == g^k`` and |k| <= bound, or None when absence is certified."""
+    """k with ``w == g^k``, or None when ``w`` is no power of ``g``.
+
+    The answer is exact; ``bound`` only caps the reported exponent: a
+    ``k`` with ``|k| > bound`` raises :class:`MembershipUndecided`.
+    """
     tower.validate_word(w)
     tower.validate_word(g)
     if not nf_word(g, tower):
         raise PreconditionViolated("in_cyclic needs a nonidentity generator")
-    return _member(w, g, tower, tower.num_steps, bound)
+    k = _member(w, g, tower, tower.num_steps)
+    if k is not None and bound is not None and abs(k) > bound:
+        raise MembershipUndecided(f"{w} is {g}^{k}, beyond the bound |k| <= {bound}")
+    return k
 
 
 def coset_rep(a: Word, generator: Word, tower: ExtensionTower) -> tuple[int, Word]:

@@ -156,16 +156,6 @@ def stable(stage: int, exponent: int = 1) -> Word:
     return Word((Letter(STABLE, stage, exponent),))
 
 
-def concat(u: Word, v: Word) -> Word:
-    """Merged juxtaposition of two words (free monoid product with merging)."""
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    """Reversed sequence with negated exponents."""
-    return w.inverse()
-
-
 def t_length(w: Word) -> int:
     """Total number of stable-letter units, counted with multiplicity."""
     return sum(abs(lt.exponent) for lt in w.letters if lt.kind == STABLE)

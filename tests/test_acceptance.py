@@ -178,17 +178,8 @@ def test_criterion_7_min_structures():
     assert report_omega.all_passed, [r.axiom for r in report_omega.results if not r.passed]
     report_i = minstruct.axiom_suite(minstruct.MODE_I, 8, z_copies=3, z_span=3)
     assert report_i.all_passed, [r.axiom for r in report_i.results if not r.passed]
-    pts = list(range(6))
-    dom = minstruct.elements_over(minstruct.OMEGA, pts)
-    pairs = 0
-    for a in dom:
-        for b in dom:
-            if minstruct.less(a, b):
-                pairs += 1
-                gap = minstruct.points_between(
-                    minstruct.OMEGA, minstruct.degree(a), minstruct.degree(b)
-                )
-                assert minstruct.max_chain_brute(a, b, dom) == gap
+    pairs, mismatches = minstruct.chain_cross_check(6)
+    assert pairs > 0 and mismatches == 0
     assert minstruct.embedding_check(6)
     elapsed = time.monotonic() - started
     assert elapsed <= 30.0

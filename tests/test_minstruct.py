@@ -147,6 +147,24 @@ class TestAxiomSuite:
         assert not first.passed
         assert "{0}+{1}" in first.witnesses
 
+    def test_sum_outside_domain_is_an_axiom_one_counterexample(self, monkeypatch):
+        import grouptower.minstruct as minstruct
+
+        # sums of two nonzero elements with three points gain point 9,
+        # outside the 4-point domain
+        def leaky(a, b):
+            total = add(a, b)
+            if a.support and b.support and len(total.support) == 3:
+                return e(*total.support, 9)
+            return total
+
+        monkeypatch.setattr(minstruct, "add", leaky)
+        report = axiom_suite(OMEGA, 4)
+        first = report.results[0]
+        assert first.axiom == "1-group-exponent-2"
+        assert not first.passed
+        assert "{0}+{1,2}" in first.witnesses
+
     def test_domain_cap(self):
         with pytest.raises(ValueError):
             elements_over(OMEGA, list(range(20)))
