@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .words import Word, generator, identity, max_stage, sort_key, stable
+from .words import IDENTITY, Word, generator, max_stage, sort_key, stable
 from .tower import (
     ExtensionTower,
     MembershipUndecided,
@@ -246,8 +246,8 @@ def initial_state(
     )
     ledger = state.ledger
     for n in range(1, state.power_window() + 1):
-        ledger = ledger.with_element(x ** n, identity(), n, tower)
-        ledger = ledger.with_element(x ** -n, identity(), -n, tower)
+        ledger = ledger.with_element(x ** n, IDENTITY, n, tower)
+        ledger = ledger.with_element(x ** -n, IDENTITY, -n, tower)
     state = replace(state, ledger=ledger)
     state = _scan_witnesses(state)
     return replace(state, fractions=(_ledger_fractions(state),))
@@ -352,7 +352,7 @@ def _candidate_pool(state: ConstructionState, minimum: int, seed: int) -> list[W
     attempts = 0
     while len(pool) < minimum and attempts < 80 * minimum:
         attempts += 1
-        w = identity()
+        w = IDENTITY
         for _ in range(rng.randint(1, state.radius + 3)):
             w = w * rng.choice(alphabet)
         v = nf_word(w, tower)

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .words import Word, identity, t_length
+from .words import IDENTITY, Word, t_length
 from .tower import (
     ExtensionTower,
     MembershipUndecided,
@@ -172,6 +172,11 @@ def common_cyclic_centralizer(tower: ExtensionTower, w: Word, c: Word, a: Word) 
     previous stage.  Conclusion: w and c are powers of one root."""
     if not commutes(w, c, tower) or not commutes(a, w, tower) or not commutes(a, c, tower):
         return None
+    return _shared_root(tower, w, c, a)
+
+
+def _shared_root(tower: ExtensionTower, w: Word, c: Word, a: Word) -> bool | None:
+    """``common_cyclic_centralizer`` once w, c, a are known to commute."""
     if not _eligible(a, tower):
         return None
     w_nf, c_nf = nf_word(w, tower), nf_word(c, tower)
@@ -252,18 +257,45 @@ def check_dodatkowy(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4)
 
 def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
     """Scan commuting pairs first, then complete them with a commuting third
-    element; this keeps the triple scan exhaustive at small radius."""
+    element; this keeps the triple scan exhaustive at small radius.
+
+    Both scans read one commutation table, so each commutator of two ball
+    elements is normal-formed once per scan: ``[v, u]`` is ``[u, v]^-1``,
+    so one order answers for both.  A pair undecided in both orders raises
+    ``MembershipUndecided`` on every lookup, as an uncached test would.
+    """
     ball = _ball(spec, tower)
+    table: dict[tuple[Word, Word], bool | None] = {}
+
+    def commuting(u: Word, v: Word) -> bool:
+        key = (v, u) if (v, u) in table else (u, v)
+        if key not in table:
+            table[key] = None
+            for x, y in (key, key[::-1]):
+                try:
+                    table[key] = commutes(x, y, tower)
+                    break
+                except MembershipUndecided:
+                    continue
+        if table[key] is None:
+            raise MembershipUndecided(f"commutation of {u} and {v} undecided in both orders")
+        return table[key]
+
+    def centralized(w: Word, c: Word, a: Word) -> bool | None:
+        if not commuting(w, c) or not commuting(a, w) or not commuting(a, c):
+            return None
+        return _shared_root(tower, w, c, a)
+
     undecided = 0
     pairs = []
     for w, c in _tuples(ball, 2, spec):
         try:
-            if commutes(w, c, tower):
+            if commuting(w, c):
                 pairs.append((w, c))
         except MembershipUndecided:
             undecided += 1
     triples = ((w, c, a) for w, c in pairs for a in ball)
-    return _scan("cent", triples, partial(common_cyclic_centralizer, tower), undecided=undecided)
+    return _scan("cent", triples, centralized, undecided=undecided)
 
 
 def check_cykr(spec: BallSpec, tower: ExtensionTower, power_bound: int = 3) -> OracleVerdict:
@@ -388,7 +420,7 @@ def run_standard_suite(
 def random_word(rng: random.Random, tower: ExtensionTower, max_units: int) -> Word:
     """Seeded random word of at most ``max_units`` unit letters."""
     alphabet = tower.alphabet()
-    w = identity()
+    w = IDENTITY
     for _ in range(rng.randint(0, max_units)):
         w = w * rng.choice(alphabet)
     return w

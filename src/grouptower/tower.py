@@ -14,10 +14,12 @@ root extraction, commutation tests and centralizer balls.
 
 Membership in a cyclic subgroup is decided exactly: after cyclic reduction
 of the generator, Britton's lemma fixes the only possible exponent up to
-sign.  Coset representatives are still found by a bounded window search
-that certifies its minimum via monotone growth of normal-form lengths; when
-no certificate is found inside the window, :class:`MembershipUndecided` is
-raised rather than guessing.
+sign.  Coset representatives over a single-run base generator ``g^e`` follow
+from the exponent of the leading ``g`` run modulo ``e``.  Over any other
+generator they are still found by a bounded window search that certifies its
+minimum via monotone growth of normal-form lengths; when no certificate is
+found inside the window, :class:`MembershipUndecided` is raised rather than
+guessing.
 """
 from __future__ import annotations
 
@@ -374,29 +376,31 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, 
     """Decompose ``a = gen^k * rep`` with ``rep`` the canonical representative
     of the right coset <gen>*a.
 
-    The representative minimizes (unit length, text) over the coset; the
-    search stops on each side after three consecutive length increases past
-    the best candidate seen, which certifies the global minimum.
+    The representative minimizes (unit length, text) over the coset.  For a
+    single-run base generator it is found exactly from the leading run's
+    exponent; otherwise the search stops on each side after three
+    consecutive length increases past the best candidate seen, which
+    certifies the global minimum.
     """
     nfa = _nf(a, tower, stage)
     nfg = _nf(gen, tower, stage)
     if not nfg:
         raise PreconditionViolated("coset decomposition needs a nonidentity generator")
-    if (
-        len(nfg.letters) == 1
-        and nfg.letters[0].kind == GENERATOR
-        and abs(nfg.letters[0].exponent) == 1
-    ):
-        # base-generator unit: prepending powers cannot pinch or cancel past
-        # the leading run, so stripping that run is the unique minimum
-        # (false for stable-letter generators, whose powers can pinch into
-        # the remainder)
-        sym = nfg.letters[0].symbol
-        sign = nfg.letters[0].exponent
-        if nfa.letters and nfa.letters[0].symbol == sym:
-            k = nfa.letters[0].exponent * sign
-            return k, _nf(Word(nfa.letters[1:]), tower, stage)
-        return 0, nfa
+    glt = nfg.letters[0]
+    if len(nfg.letters) == 1 and glt.kind == GENERATOR:
+        # single-run base generator g^e: prepending powers of g changes only
+        # the leading g run of nfa = g^x rest (false for stable-letter
+        # generators, whose powers can pinch into the rest), so the coset is
+        # {g^y rest : y = x mod |e|} and its minimum has y nearest zero
+        x, rest = 0, nfa
+        if nfa.letters and nfa.letters[0].symbol == glt.symbol:
+            x, rest = nfa.letters[0].exponent, Word(nfa.letters[1:])
+        period = abs(glt.exponent)
+        r = x % period
+        if r:
+            runs = ((y, Word((Letter(GENERATOR, glt.index, y),)) * rest) for y in (r, r - period))
+            r, rest = min(runs, key=lambda run: sort_key(run[1]))
+        return (x - r) // glt.exponent, rest
     best_k, best = 0, nfa
     best_key = sort_key(nfa)
     window = max(nfa.unit_length, BOUND_FLOOR) + 4

@@ -144,10 +144,6 @@ class Word:
 IDENTITY = Word()
 
 
-def identity() -> Word:
-    return IDENTITY
-
-
 def generator(index: int, exponent: int = 1) -> Word:
     return Word((Letter(GENERATOR, index, exponent),))
 

@@ -1,13 +1,17 @@
+from functools import partial
+
 import pytest
 
+from grouptower import oracles
 from grouptower.words import parse_word
-from grouptower.tower import ExtensionTower, MembershipUndecided, nf_word
+from grouptower.tower import ExtensionTower, MembershipUndecided, ball_words, nf_word
 from grouptower.oracles import (
     COUNTEREXAMPLE,
     PASS,
     UNDECIDED,
     VACUOUS,
     _scan,
+    _tuples,
     BallSpec,
     CapExceeded,
     check_aabb,
@@ -18,6 +22,7 @@ from grouptower.oracles import (
     check_jsc,
     check_nn,
     check_torsion,
+    common_cyclic_centralizer,
     enumerate_ball,
     run_standard_suite,
     square_inverse_pair_conjugate,
@@ -181,3 +186,68 @@ class TestScanDriver:
         assert _scan("demo", [(1,)], lambda k: True).outcome == PASS
         assert _scan("demo", [(1,)], lambda k: True, undecided=1).outcome == UNDECIDED
         assert _scan("demo", [(1,)], lambda k: True, checked=5).checked == 6
+
+
+def reference_cent(spec, tower):
+    """check_cent without the commutation table: every commutator of the
+    pair pre-scan and of every triple is normal-formed afresh."""
+    ball = ball_words(tower, spec.radius)
+    undecided = 0
+    pairs = []
+    for w, c in _tuples(ball, 2, spec):
+        try:
+            if oracles.commutes(w, c, tower):
+                pairs.append((w, c))
+        except MembershipUndecided:
+            undecided += 1
+    triples = ((w, c, a) for w, c in pairs for a in ball)
+    return _scan("cent", triples, partial(common_cyclic_centralizer, tower), undecided=undecided)
+
+
+def undecided_on(pair, monkeypatch, both_orders):
+    """Patch ``oracles.commutes`` to raise on ``pair`` (and on its reverse
+    when ``both_orders``)."""
+    real = oracles.commutes
+    blocked = {pair, pair[::-1]} if both_orders else {pair}
+
+    def commutes(a, b, tower):
+        if (a, b) in blocked:
+            raise MembershipUndecided("blocked")
+        return real(a, b, tower)
+
+    monkeypatch.setattr(oracles, "commutes", commutes)
+
+
+class TestCentCommutationTable:
+    SPEC = BallSpec(radius=2)
+    PAIR = (W("g0"), W("g0^2"))
+
+    @pytest.mark.parametrize("tower", [FREEZ, MIXED], ids=["free_z", "hnn"])
+    def test_matches_unmemoised_reference(self, tower):
+        assert check_cent(self.SPEC, tower) == reference_cent(self.SPEC, tower)
+
+    def test_one_commutes_call_per_unordered_pair(self, monkeypatch):
+        calls = []
+        real = oracles.commutes
+
+        def counting(a, b, tower):
+            calls.append((a, b))
+            return real(a, b, tower)
+
+        monkeypatch.setattr(oracles, "commutes", counting)
+        n = len(ball_words(FREEZ, 2))
+        verdict = check_cent(self.SPEC, FREEZ)
+        assert len(calls) <= n * (n + 1) // 2
+        assert verdict.checked == 6253 and verdict.premise_hits == 244
+
+    def test_pair_undecided_in_both_orders_counts_as_today(self, monkeypatch):
+        undecided_on(self.PAIR, monkeypatch, both_orders=True)
+        verdict = check_cent(self.SPEC, FREEZ)
+        assert verdict.outcome == UNDECIDED
+        assert verdict == reference_cent(self.SPEC, FREEZ)
+
+    def test_pair_undecided_in_one_order_is_decided(self, monkeypatch):
+        plain = check_cent(self.SPEC, FREEZ)
+        undecided_on(self.PAIR, monkeypatch, both_orders=False)
+        assert reference_cent(self.SPEC, FREEZ).undecided > 0
+        assert check_cent(self.SPEC, FREEZ) == plain

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,6 +357,30 @@ class TestCosetRep:
         w1 = W("t2^-1") * u1 * W("t2")
         w2 = W("t2^-1") * u2 * W("t2")
         assert nf_word(w1, tower) == nf_word(w2, tower)
+
+
+# t1 g1 t1^-1 = g1^6 and t2 g1 t2^-1 = g1^2: powers of t1^-1 g1 t2 carry
+# leading runs of g1 that grow exponentially with the exponent
+SINGLE_RUN = ExtensionTower(2).extend_hnn(W("g1"), W("g1^6")).extend_hnn(W("g1"), W("g1^2"))
+
+
+class TestSingleRunCosets:
+    def test_distorted_power_is_fast(self):
+        start = time.perf_counter()
+        form = nf_word(W("t1^-1 g1 t2") ** -10, SINGLE_RUN)
+        assert time.perf_counter() - start < 0.25
+        # the representative a bounded window search certifies
+        assert form == W("g1^-29524") * W("t2^-1 g1 t1") ** 10
+
+    def test_matches_brute_force_minimum(self):
+        rng = random.Random(61)
+        for tower in (SINGLE_RUN, MIXED):
+            for e in (2, -2, 3, -3, 6):
+                for i in (0, 1):
+                    gen = W(f"g{i}^{e}")
+                    for w in random_words(tower, 6, 4, rng.random()):
+                        a = W(f"g{i}") ** rng.randint(-40, 40) * w
+                        assert coset_rep(a, gen, tower) == brute_coset_rep(a, gen, tower, window=60)
 
 
 class TestCyclicReduction:
