@@ -6,14 +6,21 @@ oracle suite), ``field`` (exact matrix identity suite, or one evaluated
 instance), ``minstruct`` (axiom suites, chain cross-check, embedding) and
 ``classical`` (pair-letter construction and centralizer witnesses).
 
+Each suite command is one call of a library suite function, the same one the
+acceptance criteria call: ``oracles.run_standard_suite`` and
+``oracles.tower_suite`` (``lemmas``), ``fieldext.field_suite`` (``field``
+without ``--n``), ``minstruct.minstruct_suite`` and
+``constructions.classical_suite``.
+
 Reports print as text by default; ``--format structured`` emits canonical
 JSON that is byte-identical across runs with the same configuration.
-Exit status is nonzero iff some check produced a counterexample or error.
+Exit status is 0 when every check passes, 1 when some check reports a
+counterexample, failure or error, and 2 on invalid input (printed as
+``error: ...``).
 """
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 from fractions import Fraction
@@ -215,7 +222,7 @@ def cmd_field(args) -> tuple[RunReport, str | None]:
     if args.n is not None:
         coeffs = [Fraction(c) for c in (args.b or "1,1").split(",")]
         if len(coeffs) != args.n:
-            raise SystemExit(f"need {args.n} coefficients, got {len(coeffs)}")
+            raise ValueError(f"need {args.n} coefficients, got {len(coeffs)}")
         spec = fieldext.ExtFieldSpec(tuple(coeffs))
         alpha, beta = Fraction(args.alpha), Fraction(args.beta)
         mul = fieldext.mul_matrix(alpha, spec)
@@ -241,94 +248,16 @@ def cmd_field(args) -> tuple[RunReport, str | None]:
              f"entry(m-1,m) = {entry}"]
         )
         return report, text
-    report = RunReport("field", {"cap": args.cap, "seed": args.seed})
-    rng = random.Random(args.seed)
-    for n in range(2, 7):
-        ok = 0
-        for _ in range(args.cap):
-            spec, alpha, beta = fieldext.random_instance(rng, n)
-            ident = fieldext.SquareMatrix.identity(n)
-            if (fieldext.explicit_inverse(alpha, spec) @ fieldext.mul_matrix(alpha, spec)).rows != ident.rows:
-                report.add(f"inverse-identity-n{n}", "counterexample", {"alpha": str(alpha)})
-                break
-            if fieldext.m_matrix(alpha, beta, spec).entry(n - 2, n - 1) != fieldext.m_entry_formula(alpha, beta, spec):
-                report.add(f"entry-formula-n{n}", "counterexample", {"alpha": str(alpha)})
-                break
-            ok += 1
-        else:
-            report.add(f"identities-n{n}", "pass", {"instances": ok})
-    worked = fieldext.explicit_inverse(Fraction(1), fieldext.ExtFieldSpec((Fraction(1), Fraction(1))))
-    report.add(
-        "worked-instance",
-        "pass" if worked.rows == ((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(1))) else "fail",
-        {"rows": worked.format_rows().split("\n")},
-    )
-    for n in (2, 3, 4):
-        rng_n = random.Random(args.seed + n)
-        spec, _, _ = fieldext.random_instance(rng_n, n)
-        numerator = fieldext.m_entry_numerator_symbolic(spec)
-        report.add(
-            f"symbolic-nonvanishing-n{n}",
-            "pass" if not numerator.is_zero and not fieldext.symbolic_denominator(spec).is_zero else "fail",
-            {"terms": len(numerator.coeffs)},
-        )
-    return report, None
+    return fieldext.field_suite(args.cap, args.seed), None
 
 
 def cmd_minstruct(args) -> tuple[RunReport, None]:
-    report = RunReport(
-        "minstruct",
-        {"bound": args.bound, "support_bound": args.support_bound, "embed_bound": args.embed_bound},
-    )
-    for mode in (minstruct.OMEGA, minstruct.MODE_I):
-        suite = minstruct.axiom_suite(mode, args.bound)
-        for res in suite.results:
-            report.add(
-                f"{mode}:{res.axiom}",
-                "pass" if res.passed else "counterexample",
-                {"checked": res.checked},
-                witnesses=res.witnesses,
-            )
-    pairs, mismatches = minstruct.chain_cross_check(args.support_bound)
-    report.add(
-        "chain-cross-check",
-        "pass" if mismatches == 0 else "counterexample",
-        {"pairs": pairs, "mismatches": mismatches},
-    )
-    embedded = minstruct.embedding_check(args.embed_bound)
-    report.add("embedding", "pass" if embedded else "counterexample", {"bound": args.embed_bound})
-    return report, None
+    return minstruct.minstruct_suite(args.bound, args.support_bound, args.embed_bound), None
 
 
 def cmd_classical(args) -> tuple[RunReport, None]:
-    report = RunReport(
-        "classical",
-        {"radius": args.radius, "count": args.count, "t_elt": args.t_elt, "seed": args.seed},
-    )
-    state = constructions.classical_state(2)
-    state = constructions.classical_step(state, args.radius)
-    sound = 0
-    for (s, t), stage in sorted(state.pair_stage.items(), key=lambda kv: kv[1]):
-        letter = parse_word(f"t{stage}")
-        if nf_word(letter * s * letter.inverse(), state.tower) == nf_word(t, state.tower):
-            sound += 1
-    report.add(
-        "pair-relations",
-        "pass" if sound == len(state.pair_stage) else "counterexample",
-        {"pairs": len(state.pair_stage), "sound": sound},
-    )
-    try:
-        witnesses = constructions.classical_centralizer_witnesses(
-            state, parse_word(args.t_elt), args.count
-        )
-        distinct = len({w.word for w in witnesses})
-        report.add(
-            "centralizer-witnesses",
-            "pass" if distinct >= args.count else "fail",
-            {"requested": args.count, "distinct": distinct},
-        )
-    except constructions.InsufficientPairs as exc:
-        report.add("centralizer-witnesses", "error", {"reason": str(exc)})
+    report = constructions.classical_suite(args.radius, args.count, args.t_elt)
+    report.config["seed"] = args.seed
     return report, None
 
 
@@ -348,7 +277,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report, plain = _HANDLERS[args.command](args)
-    except (ValueError, MembershipUndecided, FileNotFoundError) as exc:
+    except (ValueError, ZeroDivisionError, MembershipUndecided, oracles.CapExceeded, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "structured":

@@ -4,6 +4,8 @@ The classical construction adjoins, per step, one stable letter ``T_st`` for
 every ordered pair of nonidentity ball elements, forcing ``T_st s T_st^-1 = t``.
 Centralizers blow up: triple products ``T_st T_rs T_tr`` over distinct pairs
 ``(r, s)`` all commute with ``t``, and there is one witness per pair.
+:func:`classical_suite` checks both facts; the CLI and the acceptance
+criteria share it.
 
 The scheduled construction alternates free-product steps with cyclic-edge
 steps ``t x t^-1 = z`` that conjugate a fixed element ``x`` onto queued
@@ -22,7 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .words import IDENTITY, Word, generator, max_stage, sort_key, stable
+from .report import RunReport
+from .words import IDENTITY, Word, generator, max_stage, parse_word, sort_key, stable
 from .tower import (
     ExtensionTower,
     MembershipUndecided,
@@ -231,9 +234,7 @@ def initial_state(
         raise ValueError(f"unknown g0 mode {g0_mode!r}")
     tower = ExtensionTower(base_rank)
     if g0_mode == "classical":
-        seed = classical_state(base_rank)
-        seed = classical_step(seed, 1)
-        tower = seed.tower
+        tower = classical_step(classical_state(base_rank), 1).tower
     x = generator(0)
     state = ConstructionState(
         tower=tower,
@@ -325,21 +326,6 @@ class ConditionReport:
     @property
     def all_pass(self) -> bool:
         return self.growth_pass and self.progress_pass and not self.violations
-
-    def to_tree(self) -> dict:
-        return {
-            "stage": self.stage,
-            "fresh_letter": self.fresh_letter,
-            "growth_pass": self.growth_pass,
-            "centralizers": list(self.centralizer_results),
-            "rigidity": list(self.rigidity_results),
-            "seed_ball_fractions": [f[0] for f in self.fractions],
-            "current_ball_fractions": [f[1] for f in self.fractions],
-            "progress_pass": self.progress_pass,
-            "checked": self.checked,
-            "undecided": self.undecided,
-            "violations": list(self.violations),
-        }
 
 
 def _candidate_pool(state: ConstructionState, minimum: int, seed: int) -> list[Word]:
@@ -477,38 +463,31 @@ def check_conditions(
 # --------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ClassicalState:
-    """Growing register of pair letters ``T_st`` over a free base.
+    """Register of pair letters ``T_st`` over a free base.
 
-    ``classical_step`` is functional; the witness search below registers
-    missing pair letters in place, mirroring how the full construction has
-    every pair letter available from the start.
+    ``pair_stage`` maps each registered pair ``(s, t)`` to the stage of its
+    letter.  Like the other states this is a value: registering a pair
+    returns a new state with a copied ``pair_stage``, and no dict is mutated
+    after its state is built.
     """
 
-    def __init__(self, base_rank: int = 2):
-        self.tower = ExtensionTower(base_rank)
-        self.snapshots: tuple[ExtensionTower, ...] = (self.tower,)
-        self.pair_stage: dict[tuple[Word, Word], int] = {}
+    tower: ExtensionTower
+    pair_stage: dict[tuple[Word, Word], int]
 
-    def copy(self) -> "ClassicalState":
-        dup = ClassicalState(self.tower.base_rank)
-        dup.tower = self.tower
-        dup.snapshots = self.snapshots
-        dup.pair_stage = dict(self.pair_stage)
-        return dup
-
-    def register_pair(self, s: Word, t: Word) -> int:
-        key = (s, t)
-        stage = self.pair_stage.get(key)
-        if stage is None:
-            self.tower = self.tower.extend_hnn(s, t)
-            stage = self.tower.num_steps
-            self.pair_stage[key] = stage
-        return stage
+    def register_pair(self, s: Word, t: Word) -> tuple["ClassicalState", int]:
+        """The state with ``T_st`` adjoined (this state if it already is),
+        and the stage of ``T_st``."""
+        stage = self.pair_stage.get((s, t))
+        if stage is not None:
+            return self, stage
+        tower = self.tower.extend_hnn(s, t)
+        return ClassicalState(tower, {**self.pair_stage, (s, t): tower.num_steps}), tower.num_steps
 
 
 def classical_state(base_rank: int = 2) -> ClassicalState:
-    return ClassicalState(base_rank)
+    return ClassicalState(ExtensionTower(base_rank), {})
 
 
 def classical_step(state: ClassicalState, ball_radius: int) -> ClassicalState:
@@ -516,22 +495,22 @@ def classical_step(state: ClassicalState, ball_radius: int) -> ClassicalState:
     the current ball (finite surrogate of the full pair set)."""
     if ball_radius < 0:
         raise ValueError("ball radius must be nonnegative")
-    new = state.copy()
     ball = [w for w in ball_words(state.tower, ball_radius) if w]
     for s in ball:
         for t in ball:
-            new.register_pair(s, t)
-    new.snapshots = new.snapshots + (new.tower,)
-    return new
+            state, _ = state.register_pair(s, t)
+    return state
 
 
-def classical_centralizer_witnesses(state: ClassicalState, t_elt: Word, count: int, max_radius: int = 3) -> set[NormalForm]:
+def classical_centralizer_witnesses(
+    state: ClassicalState, t_elt: Word, count: int, max_radius: int = 3
+) -> tuple[set[NormalForm], ClassicalState]:
     """Pairwise distinct elements ``T_st T_rs T_tr`` commuting with ``t_elt``,
     one per ordered pair ``(r, s)`` drawn from base balls of growing radius.
 
-    Pair letters not yet present are registered into ``state`` on demand.
-    Raises :class:`InsufficientPairs` when the allowed balls cannot supply
-    ``count`` distinct pairs.
+    Pair letters not yet present are registered on demand; the returned
+    state holds them.  Raises :class:`InsufficientPairs` when the allowed
+    balls cannot supply ``count`` distinct pairs.
     """
     if count < 1:
         raise PreconditionViolated("witness count must be positive")
@@ -549,9 +528,9 @@ def classical_centralizer_witnesses(state: ClassicalState, t_elt: Word, count: i
                 if (r, s) in tried:
                     continue
                 tried.add((r, s))
-                st_stage = state.register_pair(s, t_nf)
-                rs_stage = state.register_pair(r, s)
-                tr_stage = state.register_pair(t_nf, r)
+                state, st_stage = state.register_pair(s, t_nf)
+                state, rs_stage = state.register_pair(r, s)
+                state, tr_stage = state.register_pair(t_nf, r)
                 word = stable(st_stage) * stable(rs_stage) * stable(tr_stage)
                 wit = nf_word(word, state.tower)
                 if wit in seen:
@@ -561,5 +540,35 @@ def classical_centralizer_witnesses(state: ClassicalState, t_elt: Word, count: i
                 seen.add(wit)
                 witnesses.append(NormalForm(wit, state.tower.num_steps))
                 if len(witnesses) >= count:
-                    return set(witnesses)
+                    return set(witnesses), state
     raise InsufficientPairs(f"only {len(witnesses)} of {count} witnesses within radius {max_radius}")
+
+
+def classical_suite(radius: int, count: int, t_elt: str) -> RunReport:
+    """Pair letters over the radius-``radius`` ball: every registered edge
+    relation holds, and ``t_elt`` has ``count`` distinct centralizer
+    witnesses."""
+    report = RunReport("classical", {"radius": radius, "count": count, "t_elt": t_elt})
+    state = classical_step(classical_state(2), radius)
+    sound = 0
+    for (s, t), stage in state.pair_stage.items():
+        letter = stable(stage)
+        if nf_word(letter * s * letter.inverse(), state.tower) == nf_word(t, state.tower):
+            sound += 1
+    report.add(
+        "pair-relations",
+        "pass" if sound == len(state.pair_stage) else "counterexample",
+        {"pairs": len(state.pair_stage), "sound": sound},
+    )
+    try:
+        witnesses, _ = classical_centralizer_witnesses(state, parse_word(t_elt), count)
+    except InsufficientPairs as exc:
+        report.add("centralizer-witnesses", "error", {"reason": str(exc)})
+    else:
+        distinct = len({w.word for w in witnesses})
+        report.add(
+            "centralizer-witnesses",
+            "pass" if distinct >= count else "fail",
+            {"requested": count, "distinct": distinct},
+        )
+    return report

@@ -12,6 +12,8 @@ and the (m-1, m) entry of ``(alpha*a+1)^-1 (beta*a+1)`` has a closed form of
 its own.  Everything here is exact: scalars are rationals and the symbolic
 mode works with bivariate polynomials over the rationals, with the single
 division by ``1 + alpha*q_m`` handled by clearing denominators.
+:func:`field_suite` is the identity suite that the CLI and the acceptance
+criteria share.
 """
 from __future__ import annotations
 
@@ -19,12 +21,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .report import RunReport
+
 
 class SingularDenominator(ZeroDivisionError):
     """``1 + alpha*q_m`` vanished; the inverse formula needs another alpha."""
-
-
-Scalar = Fraction  # base scalar type; polynomials below duck-type the same ops
 
 
 @dataclass(frozen=True)
@@ -314,3 +315,39 @@ def random_instance(rng: random.Random, n: int) -> tuple[ExtFieldSpec, Fraction,
         q = q_values(alpha, spec)
         if 1 + alpha * q[spec.m] != 0:
             return spec, alpha, beta
+
+
+def field_suite(cap: int, seed: int) -> RunReport:
+    """The identity suite: ``cap`` seeded random instances per degree 2..6
+    of the inverse and entry closed forms, the worked quadratic instance,
+    and symbolic nonvanishing of the entry for degrees 2..4."""
+    report = RunReport("field", {"cap": cap, "seed": seed})
+    rng = random.Random(seed)
+    for n in range(2, 7):
+        ok = 0
+        for _ in range(cap):
+            spec, alpha, beta = random_instance(rng, n)
+            if (explicit_inverse(alpha, spec) @ mul_matrix(alpha, spec)).rows != SquareMatrix.identity(n).rows:
+                report.add(f"inverse-identity-n{n}", "counterexample", {"alpha": str(alpha)})
+                break
+            if m_matrix(alpha, beta, spec).entry(n - 2, n - 1) != m_entry_formula(alpha, beta, spec):
+                report.add(f"entry-formula-n{n}", "counterexample", {"alpha": str(alpha)})
+                break
+            ok += 1
+        else:
+            report.add(f"identities-n{n}", "pass", {"instances": ok})
+    worked = explicit_inverse(Fraction(1), ExtFieldSpec((Fraction(1), Fraction(1))))
+    report.add(
+        "worked-instance",
+        "pass" if worked.rows == ((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(1))) else "fail",
+        {"rows": worked.format_rows().split("\n")},
+    )
+    for n in (2, 3, 4):
+        spec, _, _ = random_instance(random.Random(seed + n), n)
+        numerator = m_entry_numerator_symbolic(spec)
+        report.add(
+            f"symbolic-nonvanishing-n{n}",
+            "pass" if not numerator.is_zero and not symbolic_denominator(spec).is_zero else "fail",
+            {"terms": len(numerator.coeffs)},
+        )
+    return report

@@ -13,13 +13,16 @@ ordered lexicographically; every nonminimal position there has an immediate
 neighbour on both sides, which is the feature the mode exists to exhibit.
 The axiom suite checks the first-order axioms of these structures over an
 exhaustive finite domain, and the embedding check verifies that mode omega
-sits inside mode I via ``i -> (0, i)``.
+sits inside mode I via ``i -> (0, i)``.  :func:`minstruct_suite` runs all of
+them as the one suite that the CLI and the acceptance criteria share.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
+
+from .report import RunReport
 
 OMEGA = "omega"
 MODE_I = "I"
@@ -189,7 +192,6 @@ class AxiomResult:
     axiom: str
     passed: bool
     checked: int
-    note: str = ""
     witnesses: tuple[str, ...] = ()
 
 
@@ -202,22 +204,6 @@ class AxiomReport:
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def to_tree(self) -> dict:
-        return {
-            "mode": self.mode,
-            "domain_size": self.domain_size,
-            "axioms": [
-                {
-                    "axiom": r.axiom,
-                    "passed": r.passed,
-                    "checked": r.checked,
-                    "note": r.note,
-                    "witnesses": list(r.witnesses),
-                }
-                for r in self.results
-            ],
-        }
 
 
 def domain_points(mode: str, bound: int, z_copies: int = 3, z_span: int = 3) -> list:
@@ -453,6 +439,31 @@ def embedding_check(bound: int = 6) -> bool:
                 if p_n(n, x, y) != p_n(n, image(x), image(y)):
                     return False
     return True
+
+
+def minstruct_suite(bound: int, support_bound: int, embed_bound: int) -> RunReport:
+    """Both axiom suites over ``bound`` index points, the chain cross-check
+    below ``support_bound`` and the embedding check up to ``embed_bound``."""
+    report = RunReport(
+        "minstruct", {"bound": bound, "support_bound": support_bound, "embed_bound": embed_bound}
+    )
+    for mode in (OMEGA, MODE_I):
+        for res in axiom_suite(mode, bound).results:
+            report.add(
+                f"{mode}:{res.axiom}",
+                "pass" if res.passed else "counterexample",
+                {"checked": res.checked},
+                witnesses=res.witnesses,
+            )
+    pairs, mismatches = chain_cross_check(support_bound)
+    report.add(
+        "chain-cross-check",
+        "pass" if mismatches == 0 else "counterexample",
+        {"pairs": pairs, "mismatches": mismatches},
+    )
+    embedded = embedding_check(embed_bound)
+    report.add("embedding", "pass" if embedded else "counterexample", {"bound": embed_bound})
+    return report
 
 
 def parse_element(text: str, mode: str) -> F2Element:

@@ -74,16 +74,6 @@ class OracleVerdict:
     def is_ok(self) -> bool:
         return self.outcome in (PASS, VACUOUS)
 
-    def to_tree(self) -> dict:
-        return {
-            "lemma": self.lemma_id,
-            "outcome": self.outcome,
-            "checked": self.checked,
-            "premise_hits": self.premise_hits,
-            "undecided": self.undecided,
-            "witnesses": [list(w) for w in self.witnesses],
-        }
-
 
 def _ball(spec: BallSpec, tower: ExtensionTower) -> tuple[Word, ...]:
     ball = ball_words(tower, spec.radius, stage=spec.stage)

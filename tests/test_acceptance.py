@@ -8,7 +8,6 @@ import json
 import random
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
 
 import pytest
 
@@ -16,12 +15,12 @@ from grouptower.words import parse_word, stable, max_stage
 from grouptower import cli, fieldext, minstruct, oracles
 from grouptower.constructions import (
     check_conditions,
-    classical_centralizer_witnesses,
     classical_state,
     classical_step,
+    classical_suite,
     run_construction,
 )
-from grouptower.tower import ExtensionTower, britton_reduce, commutes, nf_word
+from grouptower.tower import ExtensionTower, britton_reduce, nf_word
 
 W = parse_word
 
@@ -88,18 +87,14 @@ def test_criterion_2_relation_soundness(six_stage_state, classical_radius_one):
     print(f"ACCEPTANCE 2 PASS: {checked} edge relations hold exactly across all stages")
 
 
-def test_criterion_3_classical_construction(classical_radius_one):
-    state = classical_radius_one
-    assert len(state.pair_stage) == 16
-    for (s, t), stage in state.pair_stage.items():
-        letter = stable(stage)
-        assert nf_word(letter * s * letter.inverse(), state.tower) == t
-    witnesses = classical_centralizer_witnesses(state, W("g0"), 50)
-    words = {w.word for w in witnesses}
-    assert len(words) >= 50
-    for w in words:
-        assert commutes(w, W("g0"), state.tower)
-    print(f"ACCEPTANCE 3 PASS: 16 registered pairs sound, {len(words)} distinct "
+def test_criterion_3_classical_construction():
+    report = classical_suite(1, 50, "g0")
+    assert all(c.verdict == "pass" for c in report.checks), report.to_text()
+    details = {c.check_id: c.details for c in report.checks}
+    assert details["pair-relations"]["pairs"] == details["pair-relations"]["sound"] == 16
+    distinct = details["centralizer-witnesses"]["distinct"]
+    assert distinct >= 50
+    print(f"ACCEPTANCE 3 PASS: 16 registered pairs sound, {distinct} distinct "
           f"centralizer witnesses for g0")
 
 
@@ -143,29 +138,14 @@ def test_criterion_5_lemma_oracles():
 
 def test_criterion_6_field_kernel():
     started = time.monotonic()
-    rng = random.Random(1234)
-    per_degree = {}
-    for n in range(2, 7):
-        count = 0
-        for _ in range(100):
-            spec, alpha, beta = fieldext.random_instance(rng, n)
-            prod = fieldext.explicit_inverse(alpha, spec) @ fieldext.mul_matrix(alpha, spec)
-            assert prod.rows == fieldext.SquareMatrix.identity(n).rows
-            assert fieldext.m_matrix(alpha, beta, spec).entry(n - 2, n - 1) == (
-                fieldext.m_entry_formula(alpha, beta, spec)
-            )
-            count += 1
-        per_degree[n] = count
-    worked = fieldext.explicit_inverse(Fraction(1), fieldext.ExtFieldSpec((Fraction(1), Fraction(1))))
-    assert worked.rows == (
-        (Fraction(2), Fraction(-1)),
-        (Fraction(-1), Fraction(1)),
-    )
-    for n in (2, 3, 4):
-        spec, _, _ = fieldext.random_instance(random.Random(40 + n), n)
-        assert not fieldext.m_entry_numerator_symbolic(spec).is_zero
-        assert not fieldext.symbolic_denominator(spec).is_zero
+    report = fieldext.field_suite(100, 1234)
     elapsed = time.monotonic() - started
+    assert all(c.verdict == "pass" for c in report.checks), report.to_text()
+    details = {c.check_id: c.details for c in report.checks}
+    per_degree = {n: details[f"identities-n{n}"]["instances"] for n in range(2, 7)}
+    assert per_degree == {n: 100 for n in range(2, 7)}
+    assert "worked-instance" in details
+    assert all(f"symbolic-nonvanishing-n{n}" in details for n in (2, 3, 4))
     assert elapsed <= 30.0
     print(f"ACCEPTANCE 6 PASS: {per_degree} exact identities, worked instance "
           f"[[2,-1],[-1,1]], symbolic nonvanishing n=2..4, {elapsed:.1f}s")
@@ -173,15 +153,14 @@ def test_criterion_6_field_kernel():
 
 def test_criterion_7_min_structures():
     started = time.monotonic()
-    report_omega = minstruct.axiom_suite(minstruct.OMEGA, 8)
-    assert report_omega.domain_size == 256
-    assert report_omega.all_passed, [r.axiom for r in report_omega.results if not r.passed]
-    report_i = minstruct.axiom_suite(minstruct.MODE_I, 8, z_copies=3, z_span=3)
-    assert report_i.all_passed, [r.axiom for r in report_i.results if not r.passed]
-    pairs, mismatches = minstruct.chain_cross_check(6)
-    assert pairs > 0 and mismatches == 0
-    assert minstruct.embedding_check(6)
+    for mode in (minstruct.OMEGA, minstruct.MODE_I):
+        assert len(minstruct.elements_over(mode, minstruct.domain_points(mode, 8))) == 256
+    report = minstruct.minstruct_suite(8, 6, 6)
     elapsed = time.monotonic() - started
+    assert len(report.checks) == 16
+    assert all(c.verdict == "pass" for c in report.checks), report.to_text()
+    pairs = next(c.details["pairs"] for c in report.checks if c.check_id == "chain-cross-check")
+    assert pairs > 0
     assert elapsed <= 30.0
     print(f"ACCEPTANCE 7 PASS: both axiom suites green (256-element domains), "
           f"{pairs} chain cross-checks, embedding bound 6, {elapsed:.1f}s")

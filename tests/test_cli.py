@@ -5,6 +5,9 @@ from contextlib import redirect_stdout
 import pytest
 
 from grouptower.cli import build_parser, main
+from grouptower.constructions import classical_suite
+from grouptower.fieldext import field_suite
+from grouptower.minstruct import minstruct_suite
 from grouptower.oracles import run_standard_suite, standard_towers
 from grouptower.tower import format_tower
 
@@ -14,6 +17,12 @@ def run_cli(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def _seeded(report, seed):
+    """The report with the CLI's echo of a seed the suite does not use."""
+    report.config["seed"] = seed
+    return report
 
 
 @pytest.fixture()
@@ -114,6 +123,24 @@ class TestSubcommands:
         assert code == 0
         assert all(c["verdict"] in ("pass", "vacuous_pass") for c in tree["checks"])
 
+    @pytest.mark.parametrize(
+        "argv, suite",
+        [
+            (["field", "--cap", "5", "--seed", "3"], lambda: field_suite(5, 3)),
+            (
+                ["minstruct", "--bound", "5", "--support-bound", "4", "--embed-bound", "3"],
+                lambda: minstruct_suite(5, 4, 3),
+            ),
+            (["classical", "--count", "5", "--seed", "7"], lambda: _seeded(classical_suite(1, 5, "g0"), 7)),
+        ],
+        ids=["field", "minstruct", "classical"],
+    )
+    def test_suite_command_matches_library_suite(self, argv, suite):
+        code, out = run_cli(argv + ["--format", "structured"])
+        report = suite()
+        assert code == report.exit_code == 0
+        assert out == report.to_json()
+
     @pytest.mark.parametrize("name", ["free_z", "hnn"])
     def test_lemmas_tower_file_matches_standard_suite(self, name, tmp_path):
         path = tmp_path / f"{name}.txt"
@@ -145,6 +172,19 @@ class TestDeterminism:
             _, first = run_cli(argv + ["--format", "structured"])
             _, second = run_cli(argv + ["--format", "structured"])
             assert first.encode() == second.encode(), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "--n", "2", "--b", "1,0", "--alpha", "1"],
+            ["field", "--n", "2", "--b", "1,1", "--alpha", "1/0"],
+            ["field", "--n", "3", "--b", "1,1"],
+            ["lemmas", "--radius", "2", "--cap", "10"],
+        ],
+    )
+    def test_invalid_input_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_exit_code_contract(self):
         code, out = run_cli(["field", "--cap", "2", "--format", "structured"])

@@ -151,12 +151,6 @@ class TestConditionChecks:
         with pytest.raises(PreconditionViolated):
             check_conditions(initial_state(radius=1, power_bound=2))
 
-    def test_report_tree_is_plain_data(self, six_report):
-        tree = six_report.to_tree()
-        assert tree["stage"] == 6
-        assert isinstance(tree["violations"], list)
-        assert tree["seed_ball_fractions"][-1] == 1.0
-
 
 class TestClassical:
     def test_radius_one_registers_sixteen_pairs(self):
@@ -175,12 +169,20 @@ class TestClassical:
             assert nf_word(letter * s * letter.inverse(), state.tower) == t
 
     def test_witnesses_commute_and_are_distinct(self):
-        state = classical_step(classical_state(2), 1)
-        wits = classical_centralizer_witnesses(state, W("g0"), 20)
+        wits, state = classical_centralizer_witnesses(classical_step(classical_state(2), 1), W("g0"), 20)
         assert len({w.word for w in wits}) == 20
         for w in wits:
             assert commutes(w.word, W("g0"), state.tower)
             assert max_stage(w.word) > 0
+
+    def test_witness_search_leaves_input_state_unchanged(self):
+        state = classical_step(classical_state(2), 1)
+        pairs = dict(state.pair_stage)
+        _, grown = classical_centralizer_witnesses(state, W("g0"), 20)
+        assert state.tower.num_steps == 16
+        assert state.pair_stage == pairs
+        assert grown.tower.num_steps > 16
+        assert len(grown.pair_stage) == grown.tower.num_steps
 
     def test_count_must_be_positive(self):
         state = classical_step(classical_state(2), 1)
