@@ -1,12 +1,11 @@
 """Layered HNN-tower word calculus with bounded conjugacy oracles, exact
 field-extension matrix identities, and ordered exponent-2 group models."""
 
-from .words import Letter, Word, cyclic_permutations, max_stage, parse_word, t_length
+from .words import Letter, Word, max_stage, parse_word, t_length
 from .tower import (
     ExtensionStep,
     ExtensionTower,
     MembershipUndecided,
-    NormalForm,
     PreconditionViolated,
     britton_reduce,
     centralizer_ball,
@@ -17,7 +16,6 @@ from .tower import (
     is_conjugate_into_base,
     minimal_root,
     nf_word,
-    normal_form,
     parse_tower,
 )
 
@@ -25,16 +23,13 @@ __all__ = [
     "Letter",
     "Word",
     "t_length",
-    "cyclic_permutations",
     "max_stage",
     "parse_word",
     "ExtensionStep",
     "ExtensionTower",
-    "NormalForm",
     "MembershipUndecided",
     "PreconditionViolated",
     "britton_reduce",
-    "normal_form",
     "nf_word",
     "in_cyclic",
     "coset_rep",

@@ -99,6 +99,8 @@ def cmd_reduce(args) -> tuple[RunReport, str | None]:
 
 
 def cmd_build(args) -> tuple[RunReport, None]:
+    if args.stages < 0:
+        raise ValueError("stages must be nonnegative")
     report = RunReport(
         "build",
         {

@@ -29,7 +29,6 @@ from .words import IDENTITY, Word, generator, max_stage, parse_word, sort_key, s
 from .tower import (
     ExtensionTower,
     MembershipUndecided,
-    NormalForm,
     PreconditionViolated,
     _free_root,
     _member,
@@ -83,11 +82,11 @@ class ConjugacyLedger:
     """Certificates for elements known conjugate to powers of ``x``."""
 
     x: Word
-    entries: tuple[tuple[Word, LedgerEntry], ...] = ()
+    entries: tuple[LedgerEntry, ...] = ()
 
     def contains(self, w: Word, tower: ExtensionTower) -> bool:
         key, _ = cyclic_key(w, tower)
-        return any(k == key for k, _ in self.entries)
+        return any(e.key == key for e in self.entries)
 
     def with_element(self, y: Word, conjugator: Word, power: int, tower: ExtensionTower) -> "ConjugacyLedger":
         """Record ``y == conjugator x^power conjugator^-1`` (verified here)."""
@@ -97,15 +96,15 @@ class ConjugacyLedger:
         if check != nf_word(y, tower):
             raise ValueError(f"certificate does not verify: {conjugator}, {power} vs {y}")
         key, carrier = cyclic_key(y, tower)
-        if any(k == key for k, _ in self.entries):
+        if any(e.key == key for e in self.entries):
             return self
         cert = LedgerEntry(key, nf_word(carrier.inverse() * conjugator, tower), power)
-        return ConjugacyLedger(self.x, self.entries + ((key, cert),))
+        return ConjugacyLedger(self.x, self.entries + (cert,))
 
     def verify(self, tower: ExtensionTower) -> bool:
         return all(
-            nf_word(e.conjugator * self.x ** e.power * e.conjugator.inverse(), tower) == key
-            for key, e in self.entries
+            nf_word(e.conjugator * self.x ** e.power * e.conjugator.inverse(), tower) == e.key
+            for e in self.entries
         )
 
     def __len__(self) -> int:
@@ -153,12 +152,8 @@ class ConstructionState:
         return None
 
 
-def _seed_ball(state: ConstructionState) -> tuple[Word, ...]:
-    return ball_words(state.tower, state.radius, stage=state.base_steps)
-
-
 def _ledger_fractions(state: ConstructionState) -> tuple[float, float]:
-    seed = [w for w in _seed_ball(state) if w]
+    seed = [w for w in ball_words(state.tower.truncate(state.base_steps), state.radius) if w]
     cur = [w for w in ball_words(state.tower, state.radius) if w]
     in_seed = sum(1 for w in seed if state.ledger.contains(w, state.tower))
     in_cur = sum(1 for w in cur if state.ledger.contains(w, state.tower))
@@ -223,18 +218,16 @@ def _scan_witnesses(state: ConstructionState) -> ConstructionState:
     )
 
 
-def initial_state(
-    radius: int = 2,
-    power_bound: int = 4,
-    g0_mode: str = "free",
-    base_rank: int = 2,
-) -> ConstructionState:
-    """Stage-0 state: seed group, distinguished element x = g0, seeded ledger."""
+def initial_state(radius: int = 2, power_bound: int = 4, g0_mode: str = "free") -> ConstructionState:
+    """Stage-0 state over a rank-2 free base: seed group, distinguished
+    element x = g0, seeded ledger."""
     if g0_mode not in ("free", "classical"):
         raise ValueError(f"unknown g0 mode {g0_mode!r}")
-    tower = ExtensionTower(base_rank)
+    if power_bound < 1:
+        raise ValueError("power bound must be at least 1")
+    tower = ExtensionTower(2)
     if g0_mode == "classical":
-        tower = classical_step(classical_state(base_rank), 1).tower
+        tower = classical_step(classical_state(), 1).tower
     x = generator(0)
     state = ConstructionState(
         tower=tower,
@@ -349,13 +342,9 @@ def _candidate_pool(state: ConstructionState, minimum: int, seed: int) -> list[W
 
 
 def check_conditions(
-    state: ConstructionState,
-    radius: int | None = None,
-    power_bound: int | None = None,
-    min_centralizer_candidates: int = 1000,
-    seed: int = 0,
+    state: ConstructionState, min_centralizer_candidates: int = 1000, seed: int = 0
 ) -> ConditionReport:
-    """Probe the step conditions at bounded radius.
+    """Probe the step conditions at the state's radius and power bound.
 
     Growth: the fresh stable letter is not absorbed.  Centralizers: ledger
     elements gain no centralizing element involving the newest letter.
@@ -367,8 +356,6 @@ def check_conditions(
     if state.stage < 1:
         raise PreconditionViolated("condition checks need at least one step")
     tower = state.tower
-    radius = state.radius if radius is None else radius
-    power_bound = state.power_bound if power_bound is None else power_bound
     top = tower.num_steps
     checked = 0
     undecided = 0
@@ -377,7 +364,7 @@ def check_conditions(
     fresh = stable(top)
     growth_pass = bool(nf_word(fresh, tower)) and max_stage(nf_word(fresh, tower)) == top
 
-    ball = ball_words(tower, radius)
+    ball = ball_words(tower, state.radius)
     pool = _candidate_pool(state, min_centralizer_candidates, seed)
 
     centralizer_results = []
@@ -417,7 +404,7 @@ def check_conditions(
         for w in ball:
             winv = w.inverse()
             acc = w
-            for m in range(1, power_bound + 1):
+            for m in range(1, state.power_bound + 1):
                 checked += 1
                 try:
                     acc = _nf(acc * y, tower, top)
@@ -435,7 +422,7 @@ def check_conditions(
             {
                 "element": str(y),
                 "witness": str(z),
-                "tuples": len(ball) * power_bound,
+                "tuples": len(ball) * state.power_bound,
                 "violations": bad[:8],
                 "undecided": local_undecided,
             }
@@ -486,8 +473,9 @@ class ClassicalState:
         return ClassicalState(tower, {**self.pair_stage, (s, t): tower.num_steps}), tower.num_steps
 
 
-def classical_state(base_rank: int = 2) -> ClassicalState:
-    return ClassicalState(ExtensionTower(base_rank), {})
+def classical_state() -> ClassicalState:
+    """No pair letters yet over a rank-2 free base."""
+    return ClassicalState(ExtensionTower(2), {})
 
 
 def classical_step(state: ClassicalState, ball_radius: int) -> ClassicalState:
@@ -504,7 +492,7 @@ def classical_step(state: ClassicalState, ball_radius: int) -> ClassicalState:
 
 def classical_centralizer_witnesses(
     state: ClassicalState, t_elt: Word, count: int, max_radius: int = 3
-) -> tuple[set[NormalForm], ClassicalState]:
+) -> tuple[set[Word], ClassicalState]:
     """Pairwise distinct elements ``T_st T_rs T_tr`` commuting with ``t_elt``,
     one per ordered pair ``(r, s)`` drawn from base balls of growing radius.
 
@@ -517,8 +505,7 @@ def classical_centralizer_witnesses(
     t_nf = nf_word(t_elt, state.tower)
     if not t_nf or max_stage(t_nf) != 0:
         raise PreconditionViolated("the centralized element must be a nonidentity base element")
-    witnesses: list[NormalForm] = []
-    seen: set[Word] = set()
+    witnesses: set[Word] = set()
     tried: set[tuple[Word, Word]] = set()
     base = state.tower.truncate(0)
     for radius in range(1, max_radius + 1):
@@ -533,14 +520,13 @@ def classical_centralizer_witnesses(
                 state, tr_stage = state.register_pair(t_nf, r)
                 word = stable(st_stage) * stable(rs_stage) * stable(tr_stage)
                 wit = nf_word(word, state.tower)
-                if wit in seen:
+                if wit in witnesses:
                     continue
                 if not commutes(wit, t_nf, state.tower):
                     raise AssertionError(f"witness {wit} fails to centralize {t_nf}")
-                seen.add(wit)
-                witnesses.append(NormalForm(wit, state.tower.num_steps))
+                witnesses.add(wit)
                 if len(witnesses) >= count:
-                    return set(witnesses), state
+                    return witnesses, state
     raise InsufficientPairs(f"only {len(witnesses)} of {count} witnesses within radius {max_radius}")
 
 
@@ -549,7 +535,7 @@ def classical_suite(radius: int, count: int, t_elt: str) -> RunReport:
     relation holds, and ``t_elt`` has ``count`` distinct centralizer
     witnesses."""
     report = RunReport("classical", {"radius": radius, "count": count, "t_elt": t_elt})
-    state = classical_step(classical_state(2), radius)
+    state = classical_step(classical_state(), radius)
     sound = 0
     for (s, t), stage in state.pair_stage.items():
         letter = stable(stage)
@@ -565,7 +551,7 @@ def classical_suite(radius: int, count: int, t_elt: str) -> RunReport:
     except InsufficientPairs as exc:
         report.add("centralizer-witnesses", "error", {"reason": str(exc)})
     else:
-        distinct = len({w.word for w in witnesses})
+        distinct = len(witnesses)
         report.add(
             "centralizer-witnesses",
             "pass" if distinct >= count else "fail",

@@ -206,20 +206,20 @@ class AxiomReport:
         return all(r.passed for r in self.results)
 
 
-def domain_points(mode: str, bound: int, z_copies: int = 3, z_span: int = 3) -> list:
+def domain_points(mode: str, bound: int) -> list:
     """The first ``bound`` points of the exhaustive domain.
 
-    Mode omega: an initial segment of the naturals.  Mode I: a section
-    meeting the leading natural copy and all integer copies, truncated to
-    offsets within ``z_span``; full copies would make exhaustive element
-    enumeration infeasible, while the section still exercises every
-    cross-copy comparison.
+    Mode omega: an initial segment of the naturals.  Mode I: a fixed
+    section, the points 0 and 1 of the leading natural copy and the offsets
+    -3, 0 and 3 in each of the integer copies 1 to 3; full copies would make
+    exhaustive element enumeration infeasible, while the section still
+    exercises every cross-copy comparison.
     """
     if mode == OMEGA:
         return list(range(bound))
     section = [(0, 0), (0, 1)]
-    for copy in range(1, z_copies + 1):
-        section.extend(((copy, -z_span), (copy, 0), (copy, z_span)))
+    for copy in range(1, 4):
+        section.extend(((copy, -3), (copy, 0), (copy, 3)))
     section.sort()
     if bound > len(section):
         raise ValueError(f"mode I section holds only {len(section)} points")
@@ -236,7 +236,7 @@ def elements_over(mode: str, points: list) -> list[F2Element]:
     return out
 
 
-def axiom_suite(mode: str, domain_bound: int = 8, z_copies: int = 3, z_span: int = 3) -> AxiomReport:
+def axiom_suite(mode: str, domain_bound: int = 8) -> AxiomReport:
     """Check the seven structure axioms over all elements supported inside
     the chosen points.
 
@@ -245,7 +245,7 @@ def axiom_suite(mode: str, domain_bound: int = 8, z_copies: int = 3, z_span: int
     unbounded structure, since a truncated domain cannot witness them at its
     edges.
     """
-    points = domain_points(mode, domain_bound, z_copies, z_span)
+    points = domain_points(mode, domain_bound)
     dom = elements_over(mode, points)
     deg = {el: degree(el) for el in dom}
     masks = {el: sum(1 << points.index(p) for p in el.support) for el in dom}

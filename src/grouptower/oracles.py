@@ -21,7 +21,6 @@ from .words import IDENTITY, Word, t_length
 from .tower import (
     ExtensionTower,
     MembershipUndecided,
-    NormalForm,
     PreconditionViolated,
     ball_words,
     commutes,
@@ -50,7 +49,6 @@ class CapExceeded(Exception):
 @dataclass(frozen=True)
 class BallSpec:
     radius: int
-    stage: int | None = None
     sample_cap: int = 4000
     seed: int = 0
 
@@ -75,17 +73,13 @@ class OracleVerdict:
         return self.outcome in (PASS, VACUOUS)
 
 
-def _ball(spec: BallSpec, tower: ExtensionTower) -> tuple[Word, ...]:
-    ball = ball_words(tower, spec.radius, stage=spec.stage)
+def enumerate_ball(spec: BallSpec, tower: ExtensionTower) -> tuple[Word, ...]:
+    """All distinct normal forms of words of unit length <= radius, sorted;
+    more than ``spec.sample_cap`` of them raise :class:`CapExceeded`."""
+    ball = ball_words(tower, spec.radius)
     if len(ball) > spec.sample_cap:
         raise CapExceeded(f"{len(ball)} normal forms exceed cap {spec.sample_cap}")
     return ball
-
-
-def enumerate_ball(spec: BallSpec, tower: ExtensionTower) -> tuple[NormalForm, ...]:
-    """All distinct normal forms of words of unit length <= radius, sorted."""
-    stage = tower.num_steps if spec.stage is None else spec.stage
-    return tuple(NormalForm(w, stage) for w in _ball(spec, tower))
 
 
 def _tuples(items: tuple[Word, ...], arity: int, spec: BallSpec):
@@ -132,7 +126,7 @@ def _scan(lemma_id: str, tuples, predicate, checked: int = 0, undecided: int = 0
 
 def _eligible(w: Word, tower: ExtensionTower) -> bool:
     """Not conjugate into the stage below the top step."""
-    return not is_conjugate_into_base(w, tower, tower.num_steps)
+    return not is_conjugate_into_base(w, tower)
 
 
 # --------------------------------------------------------------------------
@@ -148,7 +142,7 @@ def square_inverse_pair_conjugate(tower: ExtensionTower, a: Word, b: Word) -> bo
         return None
     if nf_word(a * b * b * a, tower):
         return None
-    return is_conjugate_into_base(ab, tower, tower.num_steps)
+    return is_conjugate_into_base(ab, tower)
 
 
 def powers_stay_outside(tower: ExtensionTower, a: Word, n: int) -> bool | None:
@@ -209,16 +203,6 @@ def equal_powers_equal(tower: ExtensionTower, a: Word, b: Word, n: int) -> bool 
     return nf_word(a, tower) == nf_word(b, tower)
 
 
-def rootless_power_rigidity(tower: ExtensionTower, a: Word, b: Word, n: int, m: int) -> bool | None:
-    if not _eligible(a, tower) or not _eligible(b, tower):
-        return None
-    if minimal_root(a, tower)[1] != 1 or minimal_root(b, tower)[1] != 1:
-        return None
-    if nf_word(a ** n, tower) != nf_word(b ** m, tower):
-        return None
-    return n == m and nf_word(a, tower) == nf_word(b, tower)
-
-
 def has_no_small_torsion(tower: ExtensionTower, w: Word, order_bound: int) -> bool | None:
     if not nf_word(w, tower):
         return None
@@ -233,7 +217,8 @@ def has_no_small_torsion(tower: ExtensionTower, w: Word, order_bound: int) -> bo
 def check_aabb(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
     if tower.num_steps == 0 or not tower.steps[-1].is_free:
         raise PreconditionViolated("this check needs a final free-product step")
-    return _scan("aabb", _tuples(_ball(spec, tower), 2, spec), partial(square_inverse_pair_conjugate, tower))
+    pairs = _tuples(enumerate_ball(spec, tower), 2, spec)
+    return _scan("aabb", pairs, partial(square_inverse_pair_conjugate, tower))
 
 
 def _with_powers(ball, power_bound: int):
@@ -241,7 +226,7 @@ def _with_powers(ball, power_bound: int):
 
 
 def check_dodatkowy(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> OracleVerdict:
-    ball = _ball(spec, tower)
+    ball = enumerate_ball(spec, tower)
     return _scan("dodatkowy", _with_powers(ball, power_bound), partial(powers_stay_outside, tower))
 
 
@@ -254,7 +239,7 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
     so one order answers for both.  A pair undecided in both orders raises
     ``MembershipUndecided`` on every lookup, as an uncached test would.
     """
-    ball = _ball(spec, tower)
+    ball = enumerate_ball(spec, tower)
     table: dict[tuple[Word, Word], bool | None] = {}
 
     def commuting(u: Word, v: Word) -> bool:
@@ -289,12 +274,12 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
 
 
 def check_cykr(spec: BallSpec, tower: ExtensionTower, power_bound: int = 3) -> OracleVerdict:
-    ball = _ball(spec, tower)
+    ball = enumerate_ball(spec, tower)
     return _scan("cykr", _with_powers(ball, power_bound), partial(root_of_cyclically_reduced_power, tower))
 
 
 def check_ip(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
-    return _scan("ip", ((a,) for a in _ball(spec, tower)), partial(minimal_root_bound, tower))
+    return _scan("ip", ((a,) for a in enumerate_ball(spec, tower)), partial(minimal_root_bound, tower))
 
 
 def _power_profiles(ball, tower, power_bound, rootless_only):
@@ -314,7 +299,7 @@ def _power_profiles(ball, tower, power_bound, rootless_only):
 
 
 def check_nn(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> OracleVerdict:
-    ball = _ball(spec, tower)
+    ball = enumerate_ball(spec, tower)
     powers = dict(_power_profiles(ball, tower, power_bound, rootless_only=False))
     pool = tuple(powers)
 
@@ -330,7 +315,7 @@ def check_nn(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> Ora
 
 
 def check_jsc(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> OracleVerdict:
-    ball = _ball(spec, tower)
+    ball = enumerate_ball(spec, tower)
     powers = dict(_power_profiles(ball, tower, power_bound, rootless_only=True))
     exponents = range(1, power_bound + 1)
 
@@ -344,7 +329,7 @@ def check_jsc(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> Or
 
 
 def check_torsion(spec: BallSpec, tower: ExtensionTower, order_bound: int = 5) -> OracleVerdict:
-    singles = ((w,) for w in _ball(spec, tower))
+    singles = ((w,) for w in enumerate_ball(spec, tower))
     return _scan("torsion", singles, lambda w: has_no_small_torsion(tower, w, order_bound))
 
 
@@ -369,7 +354,12 @@ def tower_suite(
 ) -> list[OracleVerdict]:
     """All oracles that apply to ``tower``: ``aabb`` only over a final free
     step, ``cent`` at radius at most 2 and the pair scans ``nn``/``jsc`` at
-    ``pair_radius``, all radii trimmed to ``radius``."""
+    ``pair_radius``, all radii trimmed to ``radius``.  A power bound below 1
+    or an order bound below 2 would leave scans with no power to test."""
+    if power_bound < 1:
+        raise ValueError("power bound must be at least 1")
+    if order_bound < 2:
+        raise ValueError("order bound must be at least 2")
 
     def spec(r: int) -> BallSpec:
         return BallSpec(radius=min(r, radius), sample_cap=sample_cap, seed=seed)

@@ -9,8 +9,9 @@ time.  Each step adjoins a fresh stable letter ``t`` and is either
 
 On top of the resulting groups this module provides reduction to pinch-free
 words, canonical normal forms (so word equality decides group equality),
-cyclic reduction, conjugacy-into-stage tests, cyclic-subgroup membership,
-root extraction, commutation tests and centralizer balls.
+cyclic reduction, conjugacy into the stage below the top step,
+cyclic-subgroup membership, root extraction, commutation tests and
+centralizer balls.
 
 Membership in a cyclic subgroup is decided exactly: after cyclic reduction
 of the generator, Britton's lemma fixes the only possible exponent up to
@@ -19,7 +20,7 @@ from the exponent of the leading ``g`` run modulo ``e``.  Over any other
 generator they are still found by a bounded window search that certifies its
 minimum via monotone growth of normal-form lengths; when no certificate is
 found inside the window, :class:`MembershipUndecided` is raised rather than
-guessing.
+guessing.  Such a window is the only source of that exception.
 """
 from __future__ import annotations
 
@@ -44,8 +45,7 @@ BOUND_FLOOR = 16
 
 
 class MembershipUndecided(Exception):
-    """A bounded search ended without an answer: a coset window without a
-    certificate, or a cyclic-membership exponent beyond the caller's bound.
+    """A coset window ended without certifying its minimal representative.
 
     Raising instead of returning keeps wrong answers out of normal forms.
     """
@@ -143,28 +143,16 @@ class ExtensionTower:
             if lt.kind == STABLE and lt.index > self.num_steps:
                 raise ValueError(f"stable letter t{lt.index} outside tower of {self.num_steps} steps")
 
-    def alphabet(self, stage: int | None = None) -> tuple[Word, ...]:
-        """Unit letters (and inverses) available at ``stage``, in fixed order."""
-        stage = self.num_steps if stage is None else stage
+    def alphabet(self) -> tuple[Word, ...]:
+        """Unit letters (and inverses) of the tower, in fixed order."""
         units: list[Word] = []
         for i in range(self.base_rank):
             units.append(Word((Letter(GENERATOR, i, 1),)))
             units.append(Word((Letter(GENERATOR, i, -1),)))
-        for s in range(1, stage + 1):
+        for s in range(1, self.num_steps + 1):
             units.append(Word((Letter(STABLE, s, 1),)))
             units.append(Word((Letter(STABLE, s, -1),)))
         return tuple(units)
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """A canonical word together with the stage where canonicality holds."""
-
-    word: Word
-    tower_stage: int
-
-    def __str__(self) -> str:
-        return str(self.word)
 
 
 # --------------------------------------------------------------------------
@@ -446,15 +434,9 @@ def britton_reduce(w: Word, tower: ExtensionTower, strategy: str = "leftmost") -
     return _reduce(w, tower, tower.num_steps, strategy == "leftmost")
 
 
-def normal_form(w: Word, tower: ExtensionTower) -> NormalForm:
+def nf_word(w: Word, tower: ExtensionTower) -> Word:
     """Canonical representative; two words are equal in the group iff their
     normal forms are identical."""
-    tower.validate_word(w)
-    return NormalForm(_nf(w, tower, tower.num_steps), tower.num_steps)
-
-
-def nf_word(w: Word, tower: ExtensionTower) -> Word:
-    """Shorthand for ``normal_form(w, tower).word``."""
     tower.validate_word(w)
     return _nf(w, tower, tower.num_steps)
 
@@ -463,30 +445,21 @@ def equal(u: Word, v: Word, tower: ExtensionTower) -> bool:
     return nf_word(u, tower) == nf_word(v, tower)
 
 
-def in_cyclic(w: Word, g: Word, tower: ExtensionTower, bound: int | None = None) -> int | None:
+def in_cyclic(w: Word, g: Word, tower: ExtensionTower) -> int | None:
     """k with ``w == g^k``, or None when ``w`` is no power of ``g``.
 
-    The answer is exact; ``bound`` only caps the reported exponent: a
-    ``k`` with ``|k| > bound`` raises :class:`MembershipUndecided`.
+    The answer is exact; only a coset window inside the normal forms it
+    compares can raise :class:`MembershipUndecided`.
     """
     tower.validate_word(w)
     tower.validate_word(g)
-    if not nf_word(g, tower):
-        raise PreconditionViolated("in_cyclic needs a nonidentity generator")
-    k = _member(w, g, tower, tower.num_steps)
-    if k is not None and bound is not None and abs(k) > bound:
-        raise MembershipUndecided(f"{w} is {g}^{k}, beyond the bound |k| <= {bound}")
-    return k
+    return _member(w, g, tower, tower.num_steps)
 
 
 def coset_rep(a: Word, generator: Word, tower: ExtensionTower) -> tuple[int, Word]:
     tower.validate_word(a)
     tower.validate_word(generator)
     return _coset(a, generator, tower, tower.num_steps)
-
-
-def is_reduced(w: Word, tower: ExtensionTower) -> bool:
-    return britton_reduce(w, tower) == w
 
 
 @lru_cache(maxsize=1 << 18)
@@ -517,13 +490,18 @@ def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
     return c, _nf(conj, tower, top)
 
 
-def is_conjugate_into_base(w: Word, tower: ExtensionTower, stage: int) -> bool:
-    """True iff the conjugacy class of ``w`` meets the subgroup generated by
-    the base together with the steps strictly below ``stage``."""
-    if not 1 <= stage <= max(tower.num_steps, 1):
-        raise ValueError(f"stage {stage} out of range")
+def is_conjugate_into_base(w: Word, tower: ExtensionTower) -> bool:
+    """True iff the conjugacy class of ``w`` meets the stage below the top
+    step: the base together with every step but the last.
+
+    Exact by Collins's lemma: a cyclically reduced word containing the top
+    stable letter has no conjugate without it.
+    """
+    top = tower.num_steps
+    if not top:
+        raise ValueError("a tower without steps has no stage below its top")
     c, _ = cyclically_reduce(w, tower)
-    return all(lt.kind != STABLE or lt.index < stage for lt in c.letters)
+    return all(lt.kind != STABLE or lt.index < top for lt in c.letters)
 
 
 def _free_root(c: Word) -> tuple[Word, int]:
@@ -594,19 +572,19 @@ def commutes(a: Word, b: Word, tower: ExtensionTower) -> bool:
     return not nf_word(a * b * a.inverse() * b.inverse(), tower)
 
 
-_ball_cache: dict[tuple[ExtensionTower, int, int], tuple[Word, ...]] = {}
+_ball_cache: dict[tuple[ExtensionTower, int], tuple[Word, ...]] = {}
 
 
-def ball_words(tower: ExtensionTower, radius: int, stage: int | None = None) -> tuple[Word, ...]:
+def ball_words(tower: ExtensionTower, radius: int) -> tuple[Word, ...]:
     """All distinct normal forms of words of unit length <= radius, sorted."""
-    stage = tower.num_steps if stage is None else stage
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    key = (tower, radius, stage)
+    key = (tower, radius)
     cached = _ball_cache.get(key)
     if cached is not None:
         return cached
-    units = tower.alphabet(stage)
+    stage = tower.num_steps
+    units = tower.alphabet()
     seen = {IDENTITY}
     frontier = [IDENTITY]
     for _ in range(radius):
@@ -623,17 +601,11 @@ def ball_words(tower: ExtensionTower, radius: int, stage: int | None = None) -> 
     return result
 
 
-def centralizer_ball(y: Word, tower: ExtensionTower, radius: int) -> set[NormalForm]:
+def centralizer_ball(y: Word, tower: ExtensionTower, radius: int) -> set[Word]:
     """Ball elements commuting with ``y``."""
-    tower.validate_word(y)
     if not nf_word(y, tower):
         raise PreconditionViolated("centralizer balls are for nonidentity elements")
-    stage = tower.num_steps
-    return {
-        NormalForm(k, stage)
-        for k in ball_words(tower, radius)
-        if commutes(k, y, tower)
-    }
+    return {k for k in ball_words(tower, radius) if commutes(k, y, tower)}
 
 
 # --------------------------------------------------------------------------

@@ -162,17 +162,6 @@ def max_stage(w: Word) -> int:
     return max((lt.index for lt in w.letters if lt.kind == STABLE), default=0)
 
 
-def cyclic_permutations(w: Word) -> set[Word]:
-    """All unit rotations of ``w``, each re-merged.
-
-    The empty word has itself as its only rotation.
-    """
-    units = w.units()
-    if not units:
-        return {w}
-    return {Word(units[i:] + units[:i]) for i in range(len(units))}
-
-
 def sort_key(w: Word) -> tuple[int, str]:
     """Deterministic ordering used wherever word sets are serialized."""
     return (w.unit_length, str(w))

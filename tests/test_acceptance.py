@@ -37,7 +37,7 @@ def six_stage_report(six_stage_state):
 
 @pytest.fixture(scope="module")
 def classical_radius_one():
-    return classical_step(classical_state(2), 1)
+    return classical_step(classical_state(), 1)
 
 
 def test_criterion_1_normal_form_confluence():

@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +182,9 @@ class TestDeterminism:
             ["field", "--n", "2", "--b", "1,1", "--alpha", "1/0"],
             ["field", "--n", "3", "--b", "1,1"],
             ["lemmas", "--radius", "2", "--cap", "10"],
+            ["build", "--stages", "-1"],
+            ["build", "--stages", "1", "--power-bound", "0"],
+            ["lemmas", "--order-bound", "1"],
         ],
     )
     def test_invalid_input_exits_two(self, argv, capsys):
@@ -191,3 +196,19 @@ class TestDeterminism:
         tree = json.loads(out)
         bad = [c for c in tree["checks"] if c["verdict"] in ("counterexample", "fail", "error")]
         assert (code == 0) == (not bad)
+
+
+def test_perfbench_tracing_finds_every_name_it_patches(capsys):
+    # the benchmark's traced mode patches package names from outside; a
+    # renamed or deleted name would raise here or be listed as absent
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    recorder = tracing.Recorder()
+    recorder.install_layers()
+    try:
+        assert main(["classical", "--count", "2", "--format", "structured"]) == 0
+    finally:
+        recorder.uninstall()
+    assert recorder.layer_metrics()["absent"] == []

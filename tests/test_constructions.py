@@ -154,29 +154,29 @@ class TestConditionChecks:
 
 class TestClassical:
     def test_radius_one_registers_sixteen_pairs(self):
-        state = classical_step(classical_state(2), 1)
+        state = classical_step(classical_state(), 1)
         assert len(state.pair_stage) == 16
         assert state.tower.num_steps == 16
 
     def test_radius_zero_is_noop(self):
-        state = classical_step(classical_state(2), 0)
+        state = classical_step(classical_state(), 0)
         assert state.tower.num_steps == 0
 
     def test_every_pair_relation_holds(self):
-        state = classical_step(classical_state(2), 1)
+        state = classical_step(classical_state(), 1)
         for (s, t), stage in state.pair_stage.items():
             letter = stable(stage)
             assert nf_word(letter * s * letter.inverse(), state.tower) == t
 
     def test_witnesses_commute_and_are_distinct(self):
-        wits, state = classical_centralizer_witnesses(classical_step(classical_state(2), 1), W("g0"), 20)
-        assert len({w.word for w in wits}) == 20
+        wits, state = classical_centralizer_witnesses(classical_step(classical_state(), 1), W("g0"), 20)
+        assert len(wits) == 20
         for w in wits:
-            assert commutes(w.word, W("g0"), state.tower)
-            assert max_stage(w.word) > 0
+            assert commutes(w, W("g0"), state.tower)
+            assert max_stage(w) > 0
 
     def test_witness_search_leaves_input_state_unchanged(self):
-        state = classical_step(classical_state(2), 1)
+        state = classical_step(classical_state(), 1)
         pairs = dict(state.pair_stage)
         _, grown = classical_centralizer_witnesses(state, W("g0"), 20)
         assert state.tower.num_steps == 16
@@ -185,16 +185,16 @@ class TestClassical:
         assert len(grown.pair_stage) == grown.tower.num_steps
 
     def test_count_must_be_positive(self):
-        state = classical_step(classical_state(2), 1)
+        state = classical_step(classical_state(), 1)
         with pytest.raises(PreconditionViolated):
             classical_centralizer_witnesses(state, W("g0"), 0)
 
     def test_nonbase_element_rejected(self):
-        state = classical_step(classical_state(2), 1)
+        state = classical_step(classical_state(), 1)
         with pytest.raises(PreconditionViolated):
             classical_centralizer_witnesses(state, W("t1"), 1)
 
     def test_insufficient_pairs_raises(self):
-        state = classical_step(classical_state(2), 1)
+        state = classical_step(classical_state(), 1)
         with pytest.raises(InsufficientPairs):
             classical_centralizer_witnesses(state, W("g0"), 10_000, max_radius=1)

@@ -114,7 +114,7 @@ class TestAxiomSuite:
         assert report.all_passed
 
     def test_mode_i_three_copies(self):
-        report = axiom_suite(MODE_I, 8, z_copies=3, z_span=3)
+        report = axiom_suite(MODE_I, 8)
         assert report.domain_size == 256
         assert report.all_passed
 

@@ -39,15 +39,15 @@ MIXED = standard_towers()["hnn"]
 class TestEnumerateBall:
     def test_rank_one_radius_two(self):
         ball = enumerate_ball(BallSpec(radius=2), ExtensionTower(1))
-        assert [str(n.word) for n in ball] == ["e", "g0", "g0^-1", "g0^-2", "g0^2"]
+        assert [str(w) for w in ball] == ["e", "g0", "g0^-1", "g0^-2", "g0^2"]
 
     def test_radius_zero(self):
         ball = enumerate_ball(BallSpec(radius=0), FREEZ)
-        assert [str(n.word) for n in ball] == ["e"]
+        assert [str(w) for w in ball] == ["e"]
 
     def test_free_step_enlarges_alphabet(self):
         ball = enumerate_ball(BallSpec(radius=1), FREEZ)
-        assert {str(n.word) for n in ball} == {"e", "g0", "g0^-1", "g1", "g1^-1", "t1", "t1^-1"}
+        assert {str(w) for w in ball} == {"e", "g0", "g0^-1", "g1", "g1^-1", "t1", "t1^-1"}
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):

@@ -19,10 +19,8 @@ from grouptower.tower import (
     format_tower,
     in_cyclic,
     is_conjugate_into_base,
-    is_reduced,
     minimal_root,
     nf_word,
-    normal_form,
     parse_tower,
 )
 
@@ -154,11 +152,6 @@ class TestNormalForm:
             v = Word(w.letters[:cut]) * r * Word(w.letters[cut:])
             assert nf_word(v, HNN) == nf_word(w, HNN)
 
-    def test_stage_annotation(self):
-        nf = normal_form(W("g0"), MIXED)
-        assert nf.tower_stage == 2
-        assert nf.word == W("g0")
-
     def test_stability_under_extension(self):
         # adding steps never changes normal forms of old words
         for w in random_words(FREEZ, 200, 8, seed=31):
@@ -187,11 +180,6 @@ class TestInCyclic:
     def test_identity_generator_rejected(self):
         with pytest.raises(PreconditionViolated):
             in_cyclic(W("g0"), W("e"), FREE)
-
-    def test_undecided_when_bound_is_tiny(self):
-        z = W("t1 g0")
-        with pytest.raises(MembershipUndecided):
-            in_cyclic(z ** 9, z, MIXED, bound=2)
 
 
 # a = t1^-1 g0 t1 has a^6 = g0, and step 2 conjugates the distorted a onto g0
@@ -409,23 +397,26 @@ class TestCyclicReduction:
                 for j in range(len(units)):
                     rot = Word(units[j:] + units[:j])
                     assert rot.unit_length == c.unit_length
-                    assert is_reduced(rot, tower)
+                    assert britton_reduce(rot, tower) == rot
 
 
 class TestConjugacyIntoStage:
     def test_base_conjugate(self):
-        assert is_conjugate_into_base(W("g1 g0 g1^-1"), HNN, 1)
+        assert is_conjugate_into_base(W("g1 g0 g1^-1"), HNN)
 
     def test_fresh_letter_is_not(self):
-        assert not is_conjugate_into_base(W("t1"), FREEZ, 1)
+        assert not is_conjugate_into_base(W("t1"), FREEZ)
 
     def test_pinch_reduces_into_base(self):
-        assert is_conjugate_into_base(W("t1 g0 t1^-1"), HNN, 1)
+        assert is_conjugate_into_base(W("t1 g0 t1^-1"), HNN)
 
     def test_stage_window(self):
         w = W("t1 g0")
-        assert not is_conjugate_into_base(w, MIXED, 1)
-        assert is_conjugate_into_base(w, MIXED, 2)
+        assert is_conjugate_into_base(w, MIXED)
+
+    def test_tower_without_steps_rejected(self):
+        with pytest.raises(ValueError):
+            is_conjugate_into_base(W("g0"), FREE)
 
 
 class TestMinimalRoot:
@@ -459,7 +450,7 @@ class TestMinimalRoot:
         seen = {}
         for w in random_words(MIXED, 150, 4, seed=43):
             n = nf_word(w, MIXED)
-            if not n or is_conjugate_into_base(n, MIXED, 2):
+            if not n or is_conjugate_into_base(n, MIXED):
                 continue
             p = nf_word(n ** 4, MIXED)
             if p in seen:
@@ -478,15 +469,15 @@ class TestCommutesAndCentralizers:
         assert commutes(W("e"), W("g0 g1"), FREE)
 
     def test_free_base_centralizer_ball(self):
-        ball = {n.word for n in centralizer_ball(W("g0"), FREE, 2)}
+        ball = centralizer_ball(W("g0"), FREE, 2)
         assert ball == {W("e"), W("g0"), W("g0^-1"), W("g0^2"), W("g0^-2")}
 
     def test_no_stable_letter_enters_centralizer(self):
         ball = centralizer_ball(W("g0"), HNN, 2)
-        assert all(max_stage(n.word) == 0 for n in ball)
+        assert all(max_stage(w) == 0 for w in ball)
 
     def test_radius_zero(self):
-        assert {n.word for n in centralizer_ball(W("g0"), FREE, 0)} == {W("e")}
+        assert centralizer_ball(W("g0"), FREE, 0) == {W("e")}
 
 
 class TestTorsionFreeness:
@@ -545,3 +536,10 @@ def test_normal_form_idempotence_property(data):
         w = w * piece
     n = nf_word(w, tower)
     assert nf_word(n, tower) == n
+
+
+def test_package_exports_resolve():
+    import grouptower
+
+    for name in grouptower.__all__:
+        assert hasattr(grouptower, name), name

@@ -6,7 +6,6 @@ from grouptower.words import (
     STABLE,
     Letter,
     Word,
-    cyclic_permutations,
     max_stage,
     parse_word,
     t_length,
@@ -100,25 +99,6 @@ class TestTLength:
     @settings(max_examples=200, deadline=None)
     def test_subadditive(self, u, v):
         assert t_length(u * v) <= t_length(u) + t_length(v)
-
-
-class TestCyclicPermutations:
-    def test_empty(self):
-        assert cyclic_permutations(W("e")) == {W("e")}
-
-    def test_two_letters(self):
-        # oracle: rotation enumeration
-        assert cyclic_permutations(W("g0 t1")) == {W("g0 t1"), W("t1 g0")}
-
-    def test_unit_split_rotations_re_merge(self):
-        assert cyclic_permutations(W("g0^2")) == {W("g0^2")}
-
-    @given(w=words.filter(lambda w: bool(w)))
-    @settings(max_examples=200, deadline=None)
-    def test_count_and_membership(self, w):
-        perms = cyclic_permutations(w)
-        assert w in perms
-        assert 1 <= len(perms) <= w.unit_length
 
 
 class TestWordInvariants:
