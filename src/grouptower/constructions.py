@@ -401,15 +401,24 @@ def check_conditions(
             continue
         bad = []
         local_undecided = 0
+        # one normal form per power; None marks an undecided power, whose
+        # len(ball) tuples all count as checked and undecided
+        powers: list[Word | None] = []
+        for m in range(1, state.power_bound + 1):
+            try:
+                powers.append(_nf(y ** m, tower, top))
+            except MembershipUndecided:
+                powers.append(None)
         for w in ball:
             winv = w.inverse()
-            acc = w
-            for m in range(1, state.power_bound + 1):
+            for m, y_m in enumerate(powers, start=1):
                 checked += 1
+                if y_m is None:
+                    local_undecided += 1
+                    continue
                 try:
-                    acc = _nf(acc * y, tower, top)
-                    conj = _nf(acc * winv, tower, top)
-                    if _member(conj, z, tower, top) is None:
+                    # _member normal-forms the conjugate: one normal form per tuple
+                    if _member(w * y_m * winv, z, tower, top) is None:
                         continue
                     if _member(w, z, tower, top) is None:
                         bad.append(f"{y}|{w}|{m}")

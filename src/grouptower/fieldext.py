@@ -321,6 +321,8 @@ def field_suite(cap: int, seed: int) -> RunReport:
     """The identity suite: ``cap`` seeded random instances per degree 2..6
     of the inverse and entry closed forms, the worked quadratic instance,
     and symbolic nonvanishing of the entry for degrees 2..4."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1, or no identity is checked")
     report = RunReport("field", {"cap": cap, "seed": seed})
     rng = random.Random(seed)
     for n in range(2, 7):

@@ -444,6 +444,9 @@ def embedding_check(bound: int = 6) -> bool:
 def minstruct_suite(bound: int, support_bound: int, embed_bound: int) -> RunReport:
     """Both axiom suites over ``bound`` index points, the chain cross-check
     below ``support_bound`` and the embedding check up to ``embed_bound``."""
+    for name, value in (("bound", bound), ("support bound", support_bound), ("embed bound", embed_bound)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, or its checks test nothing")
     report = RunReport(
         "minstruct", {"bound": bound, "support_bound": support_bound, "embed_bound": embed_bound}
     )

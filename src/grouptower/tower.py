@@ -34,6 +34,7 @@ from .words import (
     Letter,
     Word,
     max_stage,
+    merged_word,
     parse_word,
     sort_key,
     stable,
@@ -137,6 +138,9 @@ class ExtensionTower:
         return ExtensionTower(self.base_rank, self.steps + (step,))
 
     def validate_word(self, w: Word) -> None:
+        gens, stage = w.bounds()
+        if gens < self.base_rank and stage <= self.num_steps:
+            return
         for lt in w.letters:
             if lt.kind == GENERATOR and lt.index >= self.base_rank:
                 raise ValueError(f"generator g{lt.index} outside base of rank {self.base_rank}")
@@ -164,45 +168,60 @@ def _split(word: Word, stage: int) -> tuple[list[Word], list[int]]:
     """Split at unit occurrences of the stage letter.
 
     Returns ``segments, signs`` with ``len(segments) == len(signs) + 1``;
-    segments contain no stage letter.
+    segments contain no stage letter.  They are slices of a merged word, so
+    they are merged too.
     """
+    letters = word.letters
     segments: list[Word] = []
     signs: list[int] = []
-    current: list[Letter] = []
-    for lt in word.letters:
-        if lt.kind == STABLE and lt.index == stage:
-            sign = 1 if lt.exponent > 0 else -1
-            for _ in range(abs(lt.exponent)):
-                segments.append(Word(current))
-                current = []
-                signs.append(sign)
-        else:
-            current.append(lt)
-    segments.append(Word(current))
+    start = 0
+    for i, (kind, index, exp) in enumerate(letters):
+        if index == stage and kind == STABLE:
+            segments.append(merged_word(letters[start:i]))
+            if exp == 1 or exp == -1:
+                signs.append(exp)
+            else:
+                segments.extend([IDENTITY] * (abs(exp) - 1))
+                signs.extend([1 if exp > 0 else -1] * abs(exp))
+            start = i + 1
+    segments.append(merged_word(letters[start:]))
     return segments, signs
 
 
 def _assemble(segments: list[Word], signs: list[int], stage: int) -> Word:
+    """Inverse of :func:`_split` for segments without the stage letter.
+
+    Such segments cannot merge with their neighbours, so stage letters merge
+    only with each other, into one run across empty segments.  A run that
+    cancels (no reduced word has one) falls back to a full merge.
+    """
     letters: list[Letter] = list(segments[0].letters)
+    run = 0
+    cancelled = False
     for sign, seg in zip(signs, segments[1:]):
-        letters.append(Letter(STABLE, stage, sign))
-        letters.extend(seg.letters)
-    return Word(letters)
-
-
-def _effective_stage(word: Word, stage: int) -> int:
-    return min(stage, max_stage(word))
+        if run and (run > 0) != (sign > 0):
+            cancelled = True
+        run += sign
+        if seg.letters:
+            if run:
+                letters.append(tuple.__new__(Letter, (STABLE, stage, run)))
+            letters.extend(seg.letters)
+            run = 0
+    if run:
+        letters.append(tuple.__new__(Letter, (STABLE, stage, run)))
+    return Word(letters) if cancelled else merged_word(tuple(letters))
 
 
 @lru_cache(maxsize=1 << 20)
 def _reduce(word: Word, tower: ExtensionTower, stage: int, leftmost: bool) -> Word:
     """Eliminate pinches and stable-letter cancellations at stages <= stage."""
-    s = _effective_stage(word, stage)
+    s = min(stage, max_stage(word))
     if s == 0:
         return word
     step = tower.step(s)
     segments, signs = _split(word, s)
-    segments = [_reduce(seg, tower, s - 1, leftmost) for seg in segments]
+    # a segment without stable letters is reduced already
+    segments = [_reduce(seg, tower, s - 1, leftmost) if max_stage(seg) else seg for seg in segments]
     while True:
         m = len(signs)
         positions = range(m - 1) if leftmost else range(m - 2, -1, -1)
@@ -237,11 +256,11 @@ def _nf(word: Word, tower: ExtensionTower, stage: int) -> Word:
     """Canonical form: reduce, then rewrite each post-letter segment to its
     coset-transversal representative, pushing the cyclic part across the
     stable letter (right to left, so pushes land before decomposition)."""
-    s = _effective_stage(word, stage)
+    s = min(stage, max_stage(word))
     if s == 0:
         return word
     reduced = _reduce(word, tower, s, True)
-    s = _effective_stage(reduced, s)
+    s = min(s, max_stage(reduced))
     if s == 0:
         return reduced
     step = tower.step(s)
@@ -301,7 +320,7 @@ def _power_word(base: Word, k: int, tower: ExtensionTower, stage: int) -> Word:
     nfb = _nf(base, tower, stage)
     if len(nfb.letters) == 1:
         lt = nfb.letters[0]
-        return Word((Letter(lt.kind, lt.index, lt.exponent * k),))
+        return merged_word((Letter(lt.kind, lt.index, lt.exponent * k),))
     return _table(nfb, tower, stage).power(k)
 
 
@@ -382,7 +401,7 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, 
         # {g^y rest : y = x mod |e|} and its minimum has y nearest zero
         x, rest = 0, nfa
         if nfa.letters and nfa.letters[0].symbol == glt.symbol:
-            x, rest = nfa.letters[0].exponent, Word(nfa.letters[1:])
+            x, rest = nfa.letters[0].exponent, merged_word(nfa.letters[1:])
         period = abs(glt.exponent)
         r = x % period
         if r:

@@ -77,16 +77,34 @@ def _merge(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _join(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Concatenate two merged letter tuples.  Only the junction can merge; a
+    full cancellation there exposes the next pair, so it may cascade."""
+    i, j, n = len(a), 0, len(b)
+    while i and j < n:
+        x, y = a[i - 1], b[j]
+        if x[1] != y[1] or x[0] != y[0]:
+            break
+        exp = x[2] + y[2]
+        if exp:
+            return a[: i - 1] + (tuple.__new__(Letter, (x[0], x[1], exp)),) + b[j + 1 :]
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
 class Word:
     """Immutable merged letter sequence; ``Word()`` is the identity ``e``."""
 
-    __slots__ = ("letters", "_hash", "_ulen", "_text")
+    __slots__ = ("letters", "_hash", "_ulen", "_text", "_bounds")
 
     def __init__(self, letters: Iterable[Letter] = ()):
         self.letters: tuple[Letter, ...] = _merge(letters)
         self._hash: int | None = None
         self._ulen: int | None = None
         self._text: str | None = None
+        # (highest generator index or -1, highest stable stage or 0)
+        self._bounds: tuple[int, int] | None = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -100,26 +118,42 @@ class Word:
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        if not other.letters:
+            return self
+        if not self.letters:
+            return other
+        return merged_word(_join(self.letters, other.letters))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        letters = base.letters
+            return IDENTITY
+        letters = (self if n > 0 else self.inverse()).letters
         out = letters
         for _ in range(abs(n) - 1):
-            out = out + letters
-        return Word(out)
+            out = _join(out, letters)
+        return merged_word(out)
 
     def inverse(self) -> "Word":
-        return Word(tuple(lt.inverse() for lt in reversed(self.letters)))
+        return merged_word(tuple(lt.inverse() for lt in reversed(self.letters)))
 
     @property
     def unit_length(self) -> int:
         if self._ulen is None:
             self._ulen = sum(abs(lt.exponent) for lt in self.letters)
         return self._ulen
+
+    def bounds(self) -> tuple[int, int]:
+        """``(highest generator index, highest stable stage)``; -1 and 0 when absent."""
+        if self._bounds is None:
+            gens, stage = -1, 0
+            for kind, index, _ in self.letters:
+                if kind == STABLE:
+                    if index > stage:
+                        stage = index
+                elif index > gens:
+                    gens = index
+            self._bounds = (gens, stage)
+        return self._bounds
 
     def units(self) -> tuple[Letter, ...]:
         """The word split into exponent-(+/-1) letters."""
@@ -141,6 +175,16 @@ class Word:
         return iter(self.letters)
 
 
+def merged_word(letters: tuple[Letter, ...]) -> Word:
+    """Trusted constructor for a tuple that is already merged: no two
+    adjacent letters share a symbol.  Slices and inverses of merged words
+    qualify.  Skips ``Word.__init__`` and its merge pass."""
+    w = object.__new__(Word)
+    w.letters = letters
+    w._hash = w._ulen = w._text = w._bounds = None
+    return w
+
+
 IDENTITY = Word()
 
 
@@ -159,7 +203,8 @@ def t_length(w: Word) -> int:
 
 def max_stage(w: Word) -> int:
     """Highest stable-letter stage occurring in ``w`` (0 if none)."""
-    return max((lt.index for lt in w.letters if lt.kind == STABLE), default=0)
+    bounds = w._bounds
+    return (w.bounds() if bounds is None else bounds)[1]
 
 
 def sort_key(w: Word) -> tuple[int, str]:

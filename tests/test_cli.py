@@ -185,6 +185,10 @@ class TestDeterminism:
             ["build", "--stages", "-1"],
             ["build", "--stages", "1", "--power-bound", "0"],
             ["lemmas", "--order-bound", "1"],
+            ["field", "--cap", "0"],
+            ["minstruct", "--bound", "0"],
+            ["minstruct", "--support-bound", "0"],
+            ["minstruct", "--embed-bound", "0"],
         ],
     )
     def test_invalid_input_exits_two(self, argv, capsys):

@@ -1,7 +1,8 @@
 import pytest
 
+from grouptower import constructions
 from grouptower.words import parse_word, stable, max_stage
-from grouptower.tower import nf_word, commutes
+from grouptower.tower import MembershipUndecided, ball_words, commutes, in_cyclic, nf_word
 from grouptower.constructions import (
     InsufficientPairs,
     PreconditionViolated,
@@ -27,6 +28,46 @@ def six_stage():
 @pytest.fixture(scope="module")
 def six_report(six_stage):
     return check_conditions(six_stage, min_centralizer_candidates=120, seed=1)
+
+
+@pytest.fixture(scope="module")
+def two_stage():
+    return run_construction(2, radius=2, power_bound=4)
+
+
+def reference_rigidity(state):
+    """The rigidity probe with two normal forms per tuple: ``w y^m`` grown
+    one power at a time, then conjugated back by ``w^-1``."""
+    tower = state.tower
+    ball = ball_words(tower, state.radius)
+    results, checked, undecided = [], 0, 0
+    for y in ball:
+        if not y or state.ledger.contains(y, tower):
+            continue
+        z = z_witness(y, state)
+        bad, local_undecided = [], 0
+        for w in ball:
+            acc = w
+            for m in range(1, state.power_bound + 1):
+                checked += 1
+                try:
+                    acc = nf_word(acc * y, tower)
+                    conj = nf_word(acc * w.inverse(), tower)
+                    if in_cyclic(conj, z, tower) is not None and in_cyclic(w, z, tower) is None:
+                        bad.append(f"{y}|{w}|{m}")
+                except MembershipUndecided:
+                    local_undecided += 1
+        undecided += local_undecided
+        results.append(
+            {
+                "element": str(y),
+                "witness": str(z),
+                "tuples": len(ball) * state.power_bound,
+                "violations": bad[:8],
+                "undecided": local_undecided,
+            }
+        )
+    return tuple(results), checked, undecided
 
 
 class TestLedger:
@@ -150,6 +191,44 @@ class TestConditionChecks:
     def test_requires_at_least_one_step(self):
         with pytest.raises(PreconditionViolated):
             check_conditions(initial_state(radius=1, power_bound=2))
+
+    def test_rigidity_matches_two_normal_form_loop(self, two_stage):
+        report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
+        results, checked, undecided = reference_rigidity(two_stage)
+        assert report.rigidity_results == results
+        centralizers = report.centralizer_results
+        assert report.checked == sum(r["candidates"] for r in centralizers) + checked
+        assert report.undecided == sum(r["undecided"] for r in centralizers) + undecided
+
+    def test_undecided_power_still_tests_higher_powers(self, two_stage, monkeypatch):
+        tower = two_stage.tower
+        ball = ball_words(tower, two_stage.radius)
+        # y^2 is longer than any ball word, so only the rigidity loop asks for it
+        y = next(
+            w for w in ball if (w ** 2).unit_length > two_stage.radius and not two_stage.ledger.contains(w, tower)
+        )
+        original_nf, original_member = constructions._nf, constructions._member
+
+        def nf_undecided_at_square(word, tower_, stage):
+            if word == y ** 2:
+                raise MembershipUndecided(f"{word} marked undecided")
+            return original_nf(word, tower_, stage)
+
+        conjugates = set()
+
+        def recording_member(word, gen, tower_, stage):
+            conjugates.add(nf_word(word, tower_))
+            return original_member(word, gen, tower_, stage)
+
+        monkeypatch.setattr(constructions, "_nf", nf_undecided_at_square)
+        monkeypatch.setattr(constructions, "_member", recording_member)
+        report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
+        entry = next(r for r in report.rigidity_results if r["element"] == str(y))
+        assert entry["undecided"] == len(ball)
+        assert report.undecided == len(ball)
+        # w = e conjugates y^m to itself: the powers past the undecided one are tested
+        for m in (3, 4):
+            assert nf_word(y ** m, tower) in conjugates
 
 
 class TestClassical:

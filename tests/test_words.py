@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grouptower.tower import ExtensionTower, _assemble, _split
 from grouptower.words import (
     GENERATOR,
     STABLE,
     Letter,
     Word,
     max_stage,
+    merged_word,
     parse_word,
     t_length,
 )
@@ -130,3 +132,92 @@ class TestWordInvariants:
     def test_empty_word_prints_as_e(self):
         assert str(W("e")) == "e"
         assert str(W("g0^2 t1^-1 g1")) == "g0^2 t1^-1 g1"
+
+
+# few symbols and runs of |exponent| > 1, so junctions merge and cancel often
+runs = st.builds(
+    Letter,
+    kind=st.sampled_from([GENERATOR, STABLE]),
+    index=st.integers(min_value=1, max_value=2),
+    exponent=st.integers(min_value=-4, max_value=4).filter(bool),
+)
+run_words = st.lists(runs, max_size=10).map(Word)
+
+
+def scanned_max_stage(w: Word) -> int:
+    return max((lt.index for lt in w.letters if lt.kind == STABLE), default=0)
+
+
+def assert_merged(w: Word) -> None:
+    # a trusted construction must equal the merging constructor on its letters
+    assert w == Word(w.letters)
+    assert w.letters == Word(w.letters).letters
+
+
+class TestTrustedKernel:
+    def test_cascading_cancellation(self):
+        assert W("g0 g1") * W("g1^-1 g0^-1") == W("e")
+        assert W("g0^2 g1^3") * W("g1^-3 g0^-1 t1") == W("g0 t1")
+        assert W("t1 g0^2") * W("g0^-2 t1^-1 g0") == W("g0")
+
+    @given(u=run_words, v=run_words)
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_full_merge(self, u, v):
+        assert u * v == Word(u.letters + v.letters)
+        # u times the inverse of a suffix of u cancels all the way back
+        for cut in range(len(u.letters) + 1):
+            tail = Word(u.letters[cut:])
+            assert u * tail.inverse() == Word(u.letters[:cut])
+            assert_merged(u * tail.inverse() * v)
+
+    @given(w=run_words, n=st.integers(min_value=-4, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_powers_and_inverses_are_merged(self, w, n):
+        assert w ** n == Word((w if n >= 0 else w.inverse()).letters * abs(n))
+        assert_merged(w ** n)
+        assert_merged(w.inverse())
+
+    @given(w=run_words)
+    @settings(max_examples=300, deadline=None)
+    def test_split_assemble_round_trip(self, w):
+        for stage in range(1, 4):
+            segments, signs = _split(w, stage)
+            assert len(segments) == len(signs) + 1
+            for seg in segments:
+                assert_merged(seg)
+                assert all(lt.kind != STABLE or lt.index != stage for lt in seg.letters)
+            rebuilt = _assemble(segments, signs, stage)
+            assert rebuilt == w
+            assert_merged(rebuilt)
+
+    def test_assemble_cancels_across_empty_segment(self):
+        e = W("e")
+        assert _assemble([W("g0"), e, W("g0^-1 g1")], [1, -1], 1) == W("g1")
+
+    @given(u=run_words, v=run_words)
+    @settings(max_examples=200, deadline=None)
+    def test_cached_max_stage_matches_scan(self, u, v):
+        for w in (u, v, u * v, u.inverse(), v ** 2):
+            assert max_stage(w) == scanned_max_stage(w)
+            # the second read comes from the slot
+            assert max_stage(w) == scanned_max_stage(w)
+
+    def test_trusted_constructor_keeps_letters(self):
+        letters = W("g0^2 t1 g1^-1").letters
+        assert merged_word(letters) == W("g0^2 t1 g1^-1")
+        assert max_stage(merged_word(letters)) == 1
+
+
+class TestValidation:
+    def test_accepts_words_within_bounds(self):
+        ExtensionTower(2).extend_free().validate_word(W("g1^3 t1^-2 g0"))
+
+    def test_error_texts(self):
+        tower = ExtensionTower(2).extend_free()
+        with pytest.raises(ValueError, match=r"^generator g2 outside base of rank 2$"):
+            tower.validate_word(W("t1 g2 t1^-1"))
+        with pytest.raises(ValueError, match=r"^stable letter t2 outside tower of 1 steps$"):
+            tower.validate_word(W("g0 t2"))
+        # the first bad letter in reading order is named
+        with pytest.raises(ValueError, match="t3"):
+            tower.validate_word(W("t3 g5"))
