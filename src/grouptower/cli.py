@@ -7,10 +7,10 @@ instance), ``minstruct`` (axiom suites, chain cross-check, embedding) and
 ``classical`` (pair-letter construction and centralizer witnesses).
 
 Each suite command is one call of a library suite function, the same one the
-acceptance criteria call: ``oracles.run_standard_suite`` and
-``oracles.tower_suite`` (``lemmas``), ``fieldext.field_suite`` (``field``
-without ``--n``), ``minstruct.minstruct_suite`` and
-``constructions.classical_suite``.
+acceptance criteria call: ``constructions.build_suite`` (``build``),
+``oracles.run_standard_suite`` and ``oracles.tower_suite`` (``lemmas``),
+``fieldext.field_suite`` (``field`` without ``--n``),
+``minstruct.minstruct_suite`` and ``constructions.classical_suite``.
 
 Reports print as text by default; ``--format structured`` emits canonical
 JSON that is byte-identical across runs with the same configuration.
@@ -99,86 +99,9 @@ def cmd_reduce(args) -> tuple[RunReport, str | None]:
 
 
 def cmd_build(args) -> tuple[RunReport, None]:
-    if args.stages < 0:
-        raise ValueError("stages must be nonnegative")
-    report = RunReport(
-        "build",
-        {
-            "stages": args.stages,
-            "radius": args.radius,
-            "power_bound": args.power_bound,
-            "g0_mode": args.g0_mode,
-            "seed": args.seed,
-            "check_candidates": args.check_candidates,
-        },
-    )
-    state = constructions.initial_state(
-        radius=args.radius, power_bound=args.power_bound, g0_mode=args.g0_mode
-    )
-    report.add(
-        "base",
-        "ok",
-        {
-            "g0_mode": args.g0_mode,
-            "base_steps": state.base_steps,
-            "ledger_size": len(state.ledger),
-            "queue_pending": len(state.z_queue),
-            "seed_ball_fraction": round(state.fractions[-1][0], 6),
-        },
-    )
-    for i in range(args.stages):
-        state = constructions.tower_step(state)
-        step = state.tower.steps[-1]
-        kind = "freeZ" if step.is_free else f"hnn target={step.target}"
-        fallback = state.stage in state.fallbacks
-        report.add(
-            f"stage-{state.stage}",
-            "ok",
-            {
-                "step": kind,
-                "case2_fallback": fallback,
-                "ledger_size": len(state.ledger),
-                "queue_pending": len(state.z_queue),
-                "seed_ball_fraction": round(state.fractions[-1][0], 6),
-                "current_ball_fraction": round(state.fractions[-1][1], 6),
-            },
-        )
-    if args.stages >= 1:
-        cond = constructions.check_conditions(
-            state, min_centralizer_candidates=args.check_candidates, seed=args.seed
-        )
-        report.add(
-            "condition-growth",
-            "pass" if cond.growth_pass else "fail",
-            {"fresh_letter": cond.fresh_letter},
-        )
-        report.add(
-            "condition-centralizers",
-            "pass" if not any("centralizer" in v for v in cond.violations) else "counterexample",
-            {
-                "elements": len(cond.centralizer_results),
-                "candidates_per_element": min(
-                    (r["candidates"] for r in cond.centralizer_results), default=0
-                ),
-                "undecided": sum(r["undecided"] for r in cond.centralizer_results),
-            },
-            witnesses=[v for v in cond.violations if v.startswith("centralizer")],
-        )
-        report.add(
-            "condition-rigidity",
-            "pass" if not any("rigidity" in v for v in cond.violations) else "counterexample",
-            {
-                "elements": len(cond.rigidity_results),
-                "undecided": sum(r["undecided"] for r in cond.rigidity_results),
-            },
-            witnesses=[v for v in cond.violations if v.startswith("rigidity")],
-        )
-        report.add(
-            "condition-progress",
-            "pass" if cond.progress_pass else "fail",
-            {"seed_ball_fractions": [round(f[0], 6) for f in state.fractions]},
-        )
-    return report, None
+    return constructions.build_suite(
+        args.stages, args.radius, args.power_bound, args.g0_mode, args.check_candidates, args.seed
+    ), None
 
 
 def cmd_lemmas(args) -> tuple[RunReport, None]:

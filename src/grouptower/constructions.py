@@ -14,6 +14,8 @@ certified conjugate to a power of ``x`` so far; condition checks probe, at
 bounded radius, that each step grew the group, kept centralizers of ledger
 elements inside the previous stage, preserved the root-rigidity property of
 non-ledger elements, and made monotone conjugation progress.
+:func:`build_suite` runs the construction and these checks; the CLI and the
+acceptance criteria share it.
 
 The base here is a plain free group, so one-conjugacy-class behaviour of the
 true starting group is not reproduced; the ledger records only certified
@@ -24,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .report import RunReport
+from .report import CheckResult, RunReport
 from .words import IDENTITY, Word, generator, max_stage, parse_word, sort_key, stable
 from .tower import (
     ExtensionTower,
@@ -135,7 +137,6 @@ class ConstructionState:
     z_record: tuple[tuple[Word, Word], ...] = ()   # nf(y) -> chosen witness z_y
     z_queue: tuple[QueueEntry, ...] = ()
     consumed: tuple[tuple[int, Word], ...] = ()
-    fallbacks: tuple[int, ...] = ()                # even steps that fell back to a free step
     fractions: tuple[tuple[float, float], ...] = ()  # (seed-ball fraction, current-ball fraction)
 
     @property
@@ -193,7 +194,6 @@ def _scan_witnesses(state: ConstructionState) -> ConstructionState:
     record = dict(state.z_record)
     queued = {entry.key for entry in state.z_queue}
     fresh: list[QueueEntry] = []
-    undecided = 0
     for y in ball_words(tower, state.radius):
         if not y or state.ledger.contains(y, tower):
             continue
@@ -202,7 +202,6 @@ def _scan_witnesses(state: ConstructionState) -> ConstructionState:
         try:
             z = root_witness(y, tower)
         except MembershipUndecided:
-            undecided += 1
             continue
         record[y] = z
         key, _ = cyclic_key(z, tower)
@@ -256,7 +255,6 @@ def tower_step(state: ConstructionState) -> ConstructionState:
     ledger = state.ledger
     queue = list(state.z_queue)
     consumed = state.consumed
-    fallbacks = state.fallbacks
     if idx % 2 == 1:
         new_tower = tower.extend_free()
     else:
@@ -269,7 +267,6 @@ def tower_step(state: ConstructionState) -> ConstructionState:
                 remaining.append(entry)
         if chosen is None:
             new_tower = tower.extend_free()
-            fallbacks = fallbacks + (idx,)
         else:
             queue = remaining
             z = chosen.witness
@@ -285,7 +282,6 @@ def tower_step(state: ConstructionState) -> ConstructionState:
         ledger=ledger,
         z_queue=tuple(queue),
         consumed=consumed,
-        fallbacks=fallbacks,
     )
     state = _scan_witnesses(state)
     return replace(state, fractions=state.fractions + (_ledger_fractions(state),))
@@ -305,20 +301,12 @@ def run_construction(stages: int, **kwargs) -> ConstructionState:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    stage: int
-    fresh_letter: str
-    growth_pass: bool
-    centralizer_results: tuple[dict, ...]
-    rigidity_results: tuple[dict, ...]
-    fractions: tuple[tuple[float, float], ...]
-    progress_pass: bool
+    """The four ``condition-*`` rows of a ``build`` report, and the tuples
+    checked and left undecided over all of them."""
+
+    checks: tuple[CheckResult, ...]
     checked: int
     undecided: int
-    violations: tuple[str, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return self.growth_pass and self.progress_pass and not self.violations
 
 
 def _candidate_pool(state: ConstructionState, minimum: int, seed: int) -> list[Word]:
@@ -352,14 +340,12 @@ def check_conditions(
     ``w y^m w^-1`` landing in <z> forces w into <z>.  Progress: the fraction
     of the seed ball certified conjugate to x never decreases.  Tuples left
     undecided by a bounded coset search are counted, never silently dropped.
+    Each row keeps up to four counterexamples per element as witnesses.
     """
     if state.stage < 1:
         raise PreconditionViolated("condition checks need at least one step")
     tower = state.tower
     top = tower.num_steps
-    checked = 0
-    undecided = 0
-    violations: list[str] = []
 
     fresh = stable(top)
     growth_pass = bool(nf_word(fresh, tower)) and max_stage(nf_word(fresh, tower)) == top
@@ -367,42 +353,33 @@ def check_conditions(
     ball = ball_words(tower, state.radius)
     pool = _candidate_pool(state, min_centralizer_candidates, seed)
 
-    centralizer_results = []
     ledger_ball = [y for y in ball if y and state.ledger.contains(y, tower)]
+    centralizer_witnesses: list[str] = []
+    centralizer_undecided = 0
     for y in ledger_ball:
         bad: list[str] = []
-        local_undecided = 0
         for k in pool:
-            checked += 1
             try:
                 if commutes(k, y, tower) and max_stage(nf_word(k, tower)) == top:
-                    bad.append(str(k))
+                    bad.append(f"centralizer:{y}:{k}")
             except MembershipUndecided:
-                local_undecided += 1
-        undecided += local_undecided
-        if bad:
-            violations.extend(f"centralizer:{y}:{k}" for k in bad[:4])
-        centralizer_results.append(
-            {
-                "element": str(y),
-                "candidates": len(pool),
-                "violations": bad[:8],
-                "undecided": local_undecided,
-            }
-        )
+                centralizer_undecided += 1
+        centralizer_witnesses.extend(bad[:4])
 
-    rigidity_results = []
     outside = [y for y in ball if y and not state.ledger.contains(y, tower)]
+    tuples = len(ball) * state.power_bound
+    rigidity_witnesses: list[str] = []
+    rigidity_undecided = 0
     for y in outside:
         try:
             z = z_witness(y, state)
         except MembershipUndecided:
-            undecided += 1
+            # without a witness every tuple of y is undecided
+            rigidity_undecided += tuples
             continue
         bad = []
-        local_undecided = 0
         # one normal form per power; None marks an undecided power, whose
-        # len(ball) tuples all count as checked and undecided
+        # len(ball) tuples are all undecided
         powers: list[Word | None] = []
         for m in range(1, state.power_bound + 1):
             try:
@@ -412,46 +389,65 @@ def check_conditions(
         for w in ball:
             winv = w.inverse()
             for m, y_m in enumerate(powers, start=1):
-                checked += 1
                 if y_m is None:
-                    local_undecided += 1
+                    rigidity_undecided += 1
                     continue
                 try:
                     # _member normal-forms the conjugate: one normal form per tuple
                     if _member(w * y_m * winv, z, tower, top) is None:
                         continue
                     if _member(w, z, tower, top) is None:
-                        bad.append(f"{y}|{w}|{m}")
+                        bad.append(f"rigidity:{y}|{w}|{m}")
                 except MembershipUndecided:
-                    local_undecided += 1
-        undecided += local_undecided
-        if bad:
-            violations.extend(f"rigidity:{item}" for item in bad[:4])
-        rigidity_results.append(
-            {
-                "element": str(y),
-                "witness": str(z),
-                "tuples": len(ball) * state.power_bound,
-                "violations": bad[:8],
-                "undecided": local_undecided,
-            }
-        )
+                    rigidity_undecided += 1
+        rigidity_witnesses.extend(bad[:4])
 
     seed_fracs = [f[0] for f in state.fractions]
     progress_pass = all(a <= b + 1e-12 for a, b in zip(seed_fracs, seed_fracs[1:]))
 
-    return ConditionReport(
-        stage=state.stage,
-        fresh_letter=str(fresh),
-        growth_pass=growth_pass,
-        centralizer_results=tuple(centralizer_results),
-        rigidity_results=tuple(rigidity_results),
-        fractions=state.fractions,
-        progress_pass=progress_pass,
-        checked=checked,
-        undecided=undecided,
-        violations=tuple(violations),
+    checks = (
+        CheckResult("condition-growth", "pass" if growth_pass else "fail", {"fresh_letter": str(fresh)}),
+        CheckResult("condition-centralizers", "counterexample" if centralizer_witnesses else "pass",
+                    {"elements": len(ledger_ball), "candidates_per_element": len(pool) if ledger_ball else 0,
+                     "undecided": centralizer_undecided}, tuple(centralizer_witnesses)),
+        CheckResult("condition-rigidity", "counterexample" if rigidity_witnesses else "pass",
+                    {"elements": len(outside), "undecided": rigidity_undecided}, tuple(rigidity_witnesses)),
+        CheckResult("condition-progress", "pass" if progress_pass else "fail",
+                    {"seed_ball_fractions": [round(f, 6) for f in seed_fracs]}),
     )
+    checked = len(ledger_ball) * len(pool) + len(outside) * tuples
+    return ConditionReport(checks, checked, centralizer_undecided + rigidity_undecided)
+
+
+def build_suite(
+    stages: int, radius: int, power_bound: int, g0_mode: str, check_candidates: int, seed: int
+) -> RunReport:
+    """The scheduled construction over ``stages`` steps: one row for the base
+    and one per stage, then the condition checks on the last stage."""
+    if stages < 0:
+        raise ValueError("stages must be nonnegative")
+    report = RunReport("build", {"stages": stages, "radius": radius, "power_bound": power_bound,
+                                 "g0_mode": g0_mode, "seed": seed, "check_candidates": check_candidates})
+
+    def ledger_row(state: ConstructionState) -> dict:
+        return {"ledger_size": len(state.ledger), "queue_pending": len(state.z_queue),
+                "seed_ball_fraction": round(state.fractions[-1][0], 6)}
+
+    state = initial_state(radius=radius, power_bound=power_bound, g0_mode=g0_mode)
+    report.add("base", "ok", {"g0_mode": g0_mode, "base_steps": state.base_steps, **ledger_row(state)})
+    for _ in range(stages):
+        state = tower_step(state)
+        step = state.tower.steps[-1]
+        report.add(f"stage-{state.stage}", "ok", {
+            "step": "freeZ" if step.is_free else f"hnn target={step.target}",
+            # odd steps are free by schedule; a free even step found no pending witness
+            "case2_fallback": step.is_free and state.stage % 2 == 0,
+            "current_ball_fraction": round(state.fractions[-1][1], 6),
+            **ledger_row(state),
+        })
+    if stages:
+        report.checks.extend(check_conditions(state, check_candidates, seed).checks)
+    return report
 
 
 # --------------------------------------------------------------------------

@@ -17,10 +17,11 @@ Membership in a cyclic subgroup is decided exactly: after cyclic reduction
 of the generator, Britton's lemma fixes the only possible exponent up to
 sign.  Coset representatives over a single-run base generator ``g^e`` follow
 from the exponent of the leading ``g`` run modulo ``e``.  Over any other
-generator they are still found by a bounded window search that certifies its
-minimum via monotone growth of normal-form lengths; when no certificate is
-found inside the window, :class:`MembershipUndecided` is raised rather than
-guessing.  Such a window is the only source of that exception.
+generator they are still found by a bounded window search that stops on
+each side after three consecutive normal-form length increases; on distorted
+edges that rule can stop early with a non-minimal representative.  A window
+that runs out before the rule fires raises :class:`MembershipUndecided`, the
+only source of that exception.
 """
 from __future__ import annotations
 
@@ -46,9 +47,9 @@ BOUND_FLOOR = 16
 
 
 class MembershipUndecided(Exception):
-    """A coset window ended without certifying its minimal representative.
+    """A coset window ran out before its stopping rule fired.
 
-    Raising instead of returning keeps wrong answers out of normal forms.
+    Raising instead of returning keeps an unfinished search out of normal forms.
     """
 
 
@@ -386,8 +387,8 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, 
     The representative minimizes (unit length, text) over the coset.  For a
     single-run base generator it is found exactly from the leading run's
     exponent; otherwise the search stops on each side after three
-    consecutive length increases past the best candidate seen, which
-    certifies the global minimum.
+    consecutive length increases past the best candidate seen, which on
+    distorted edges can stop before the minimum.
     """
     nfa = _nf(a, tower, stage)
     nfg = _nf(gen, tower, stage)

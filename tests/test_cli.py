@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from grouptower.cli import build_parser, main
-from grouptower.constructions import classical_suite
+from grouptower.constructions import build_suite, classical_suite
 from grouptower.fieldext import field_suite
 from grouptower.minstruct import minstruct_suite
 from grouptower.oracles import run_standard_suite, standard_towers
@@ -134,8 +134,12 @@ class TestSubcommands:
                 lambda: minstruct_suite(5, 4, 3),
             ),
             (["classical", "--count", "5", "--seed", "7"], lambda: _seeded(classical_suite(1, 5, "g0"), 7)),
+            (
+                ["build", "--stages", "2", "--radius", "1", "--check-candidates", "40", "--seed", "3"],
+                lambda: build_suite(2, 1, 4, "free", 40, 3),
+            ),
         ],
-        ids=["field", "minstruct", "classical"],
+        ids=["field", "minstruct", "classical", "build"],
     )
     def test_suite_command_matches_library_suite(self, argv, suite):
         code, out = run_cli(argv + ["--format", "structured"])
@@ -213,6 +217,11 @@ def test_perfbench_tracing_finds_every_name_it_patches(capsys):
     recorder.install_layers()
     try:
         assert main(["classical", "--count", "2", "--format", "structured"]) == 0
+        # the build path: the condition-check hook reads the report's totals
+        assert main(["build", "--stages", "1", "--radius", "1", "--check-candidates", "10",
+                     "--format", "structured"]) == 0
     finally:
         recorder.uninstall()
-    assert recorder.layer_metrics()["absent"] == []
+    metrics = recorder.layer_metrics()
+    assert metrics["absent"] == []
+    assert metrics["constructions.check_conditions.checked"] > 0

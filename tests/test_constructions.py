@@ -6,6 +6,7 @@ from grouptower.tower import MembershipUndecided, ball_words, commutes, in_cycli
 from grouptower.constructions import (
     InsufficientPairs,
     PreconditionViolated,
+    build_suite,
     check_conditions,
     classical_centralizer_witnesses,
     classical_state,
@@ -37,15 +38,17 @@ def two_stage():
 
 def reference_rigidity(state):
     """The rigidity probe with two normal forms per tuple: ``w y^m`` grown
-    one power at a time, then conjugated back by ``w^-1``."""
+    one power at a time, then conjugated back by ``w^-1``.  Returns the
+    rigidity row's details and witnesses, and the tuples checked."""
     tower = state.tower
     ball = ball_words(tower, state.radius)
-    results, checked, undecided = [], 0, 0
+    elements, checked, undecided, witnesses = 0, 0, 0, []
     for y in ball:
         if not y or state.ledger.contains(y, tower):
             continue
+        elements += 1
         z = z_witness(y, state)
-        bad, local_undecided = [], 0
+        bad = []
         for w in ball:
             acc = w
             for m in range(1, state.power_bound + 1):
@@ -54,20 +57,15 @@ def reference_rigidity(state):
                     acc = nf_word(acc * y, tower)
                     conj = nf_word(acc * w.inverse(), tower)
                     if in_cyclic(conj, z, tower) is not None and in_cyclic(w, z, tower) is None:
-                        bad.append(f"{y}|{w}|{m}")
+                        bad.append(f"rigidity:{y}|{w}|{m}")
                 except MembershipUndecided:
-                    local_undecided += 1
-        undecided += local_undecided
-        results.append(
-            {
-                "element": str(y),
-                "witness": str(z),
-                "tuples": len(ball) * state.power_bound,
-                "violations": bad[:8],
-                "undecided": local_undecided,
-            }
-        )
-    return tuple(results), checked, undecided
+                    undecided += 1
+        witnesses.extend(bad[:4])
+    return {"elements": elements, "undecided": undecided}, tuple(witnesses), checked
+
+
+def rows(report):
+    return {c.check_id: c for c in report.checks}
 
 
 class TestLedger:
@@ -182,11 +180,12 @@ class TestZWitness:
 
 class TestConditionChecks:
     def test_six_stage_report(self, six_report):
-        assert six_report.growth_pass
-        assert six_report.progress_pass
-        assert six_report.violations == ()
+        assert [c.check_id for c in six_report.checks] == [
+            "condition-growth", "condition-centralizers", "condition-rigidity", "condition-progress"
+        ]
+        assert all(c.verdict == "pass" and c.witnesses == () for c in six_report.checks)
         assert six_report.checked > 1000
-        assert all(r["candidates"] >= 120 for r in six_report.centralizer_results)
+        assert rows(six_report)["condition-centralizers"].details["candidates_per_element"] >= 120
 
     def test_requires_at_least_one_step(self):
         with pytest.raises(PreconditionViolated):
@@ -194,11 +193,13 @@ class TestConditionChecks:
 
     def test_rigidity_matches_two_normal_form_loop(self, two_stage):
         report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
-        results, checked, undecided = reference_rigidity(two_stage)
-        assert report.rigidity_results == results
-        centralizers = report.centralizer_results
-        assert report.checked == sum(r["candidates"] for r in centralizers) + checked
-        assert report.undecided == sum(r["undecided"] for r in centralizers) + undecided
+        details, witnesses, checked = reference_rigidity(two_stage)
+        rigidity, centralizers = rows(report)["condition-rigidity"], rows(report)["condition-centralizers"]
+        assert rigidity.details == details
+        assert rigidity.witnesses == witnesses
+        c = centralizers.details
+        assert report.checked == c["elements"] * c["candidates_per_element"] + checked
+        assert report.undecided == c["undecided"] + details["undecided"]
 
     def test_undecided_power_still_tests_higher_powers(self, two_stage, monkeypatch):
         tower = two_stage.tower
@@ -223,12 +224,32 @@ class TestConditionChecks:
         monkeypatch.setattr(constructions, "_nf", nf_undecided_at_square)
         monkeypatch.setattr(constructions, "_member", recording_member)
         report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
-        entry = next(r for r in report.rigidity_results if r["element"] == str(y))
-        assert entry["undecided"] == len(ball)
+        assert rows(report)["condition-rigidity"].details["undecided"] == len(ball)
         assert report.undecided == len(ball)
         # w = e conjugates y^m to itself: the powers past the undecided one are tested
         for m in (3, 4):
             assert nf_word(y ** m, tower) in conjugates
+
+
+    def test_undecided_witness_counts_its_tuples(self, monkeypatch):
+        # an element whose witness is undecided stays in the rigidity row:
+        # all len(ball) * power_bound of its tuples are checked and undecided
+        state = tower_step(initial_state(radius=1, power_bound=4))
+        ball = ball_words(state.tower, state.radius)
+        elements = rows(check_conditions(state, 20))["condition-rigidity"].details["elements"]
+        original = constructions.z_witness
+
+        def undecided_at_g1(y, state_):
+            if y == W("g1"):
+                raise MembershipUndecided("g1 marked undecided")
+            return original(y, state_)
+
+        monkeypatch.setattr(constructions, "z_witness", undecided_at_g1)
+        report = check_conditions(state, 20)
+        rigidity = rows(report)["condition-rigidity"].details
+        assert rigidity == {"elements": elements, "undecided": len(ball) * 4}
+        assert report.undecided == sum(c.details.get("undecided", 0) for c in report.checks)
+        assert build_suite(1, 1, 4, "free", 20, 0).undecided_total == len(ball) * 4
 
 
 class TestClassical:
