@@ -338,8 +338,9 @@ def check_conditions(
     elements gain no centralizing element involving the newest letter.
     Rigidity: for non-ledger ball elements y with witness z, any conjugate
     ``w y^m w^-1`` landing in <z> forces w into <z>.  Progress: the fraction
-    of the seed ball certified conjugate to x never decreases.  Tuples left
-    undecided by a bounded coset search are counted, never silently dropped.
+    of the seed ball certified conjugate to x never decreases.  The word
+    calculus decides every tuple; one whose test raised
+    ``MembershipUndecided`` would count as undecided, never silently dropped.
     Each row keeps up to four counterexamples per element as witnesses.
     """
     if state.stage < 1:

@@ -5,7 +5,9 @@ a predicate over them, and hands both to one scan driver, ``_scan``.  The
 driver reports one of four outcomes: a pass backed by at least one
 premise-satisfying tuple, a vacuous pass when no tuple met the premise, a
 counterexample carrying replayable witness words, or an undecided verdict
-when a bounded coset search raised ``MembershipUndecided`` on some tuple.
+when a predicate raised ``MembershipUndecided`` on some tuple.  The word
+calculus decides memberships and cosets exactly and never raises it, so
+every oracle here reports 0 undecided.
 Identical specs (including the seed) give identical verdicts.
 ``tower_suite`` runs all eight oracles on one tower;
 ``run_standard_suite`` and ``lemmas --tower`` both run it.
@@ -95,10 +97,10 @@ def _tuples(items: tuple[Word, ...], arity: int, spec: BallSpec):
 
 def _scan(lemma_id: str, tuples, predicate, checked: int = 0, undecided: int = 0) -> OracleVerdict:
     """Evaluate ``predicate(*args)`` on every tuple.  ``None`` means the
-    premise is unmet, ``MembershipUndecided`` is counted and skipped, and a
-    falsy result is a counterexample whose witness is the text of its
-    arguments.  ``checked`` and ``undecided`` start from counts the caller
-    made outside the stream."""
+    premise is unmet, ``MembershipUndecided`` (which no word-calculus
+    operation raises) is counted and skipped, and a falsy result is a
+    counterexample whose witness is the text of its arguments.  ``checked``
+    and ``undecided`` start from counts the caller made outside the stream."""
     hits = 0
     witnesses = []
     for args in tuples:
@@ -236,24 +238,20 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
 
     Both scans read one commutation table, so each commutator of two ball
     elements is normal-formed once per scan: ``[v, u]`` is ``[u, v]^-1``,
-    so one order answers for both.  A pair undecided in both orders raises
-    ``MembershipUndecided`` on every lookup, as an uncached test would.
+    so one order answers for both.  The word calculus decides every
+    commutation; should a test raise ``MembershipUndecided`` in both orders,
+    every lookup of that pair raises, as an uncached test would.
     """
     ball = enumerate_ball(spec, tower)
-    table: dict[tuple[Word, Word], bool | None] = {}
+    table: dict[tuple[Word, Word], bool] = {}
 
     def commuting(u: Word, v: Word) -> bool:
         key = (v, u) if (v, u) in table else (u, v)
         if key not in table:
-            table[key] = None
-            for x, y in (key, key[::-1]):
-                try:
-                    table[key] = commutes(x, y, tower)
-                    break
-                except MembershipUndecided:
-                    continue
-        if table[key] is None:
-            raise MembershipUndecided(f"commutation of {u} and {v} undecided in both orders")
+            try:
+                table[key] = commutes(*key, tower)
+            except MembershipUndecided:
+                table[key] = commutes(*key[::-1], tower)
         return table[key]
 
     def centralized(w: Word, c: Word, a: Word) -> bool | None:

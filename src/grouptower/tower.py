@@ -13,15 +13,11 @@ cyclic reduction, conjugacy into the stage below the top step,
 cyclic-subgroup membership, root extraction, commutation tests and
 centralizer balls.
 
-Membership in a cyclic subgroup is decided exactly: after cyclic reduction
-of the generator, Britton's lemma fixes the only possible exponent up to
-sign.  Coset representatives over a single-run base generator ``g^e`` follow
-from the exponent of the leading ``g`` run modulo ``e``.  Over any other
-generator they are still found by a bounded window search that stops on
-each side after three consecutive normal-form length increases; on distorted
-edges that rule can stop early with a non-minimal representative.  A window
-that runs out before the rule fires raises :class:`MembershipUndecided`, the
-only source of that exception.
+Membership in a cyclic subgroup and coset representatives are decided
+exactly.  After cyclic reduction of the generator, Britton's lemma fixes the
+only possible membership exponent up to sign, and bounds the powers that can
+still shorten a coset representative.  No operation here raises
+:class:`MembershipUndecided`.
 """
 from __future__ import annotations
 
@@ -42,15 +38,14 @@ from .words import (
 )
 
 
-# minimum |k| window of the coset search and of minimal_root's twist search
+# minimum |m| window of minimal_root's edge-twist search
 BOUND_FLOOR = 16
 
 
 class MembershipUndecided(Exception):
-    """A coset window ran out before its stopping rule fired.
-
-    Raising instead of returning keeps an unfinished search out of normal forms.
-    """
+    """A membership or coset question left undecided.  No word-calculus
+    operation raises it, since both are decided exactly; scans still count
+    it, so an operation that cannot decide can raise it instead of guessing."""
 
 
 class PreconditionViolated(ValueError):
@@ -293,13 +288,12 @@ class _PowerTable:
         self.words = {0: IDENTITY, 1: base, -1: _nf(base.inverse(), tower, stage)}
 
     def power(self, k: int) -> Word:
-        words, side = self.words, 1 if k >= 0 else -1
-        j = k
-        while j not in words:
-            j -= side
-        while j != k:
-            j += side
-            words[j] = _nf(words[j - side] * words[side], self.tower, self.stage)
+        # halving keeps the work logarithmic in |k|: exact cosets push the
+        # true exponents of distorted elements, which run into the millions
+        words = self.words
+        if k not in words:
+            half = k // 2
+            words[k] = _nf(self.power(half) * self.power(k - half), self.tower, self.stage)
         return words[k]
 
 
@@ -349,7 +343,6 @@ def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None
     stage-``s`` units (in the free base: ``|c^k| = |k||c|``), and reduced
     words of one element agree on that count (Britton's lemma).  So
     ``y^-1 w y`` fixes ``k`` up to sign and two power comparisons decide.
-    Only the normal forms compared can raise, from a coset window.
     """
     nfw = _nf(w, tower, stage)
     nfg = _nf(gen, tower, stage)
@@ -381,14 +374,17 @@ def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None
 
 @lru_cache(maxsize=1 << 18)
 def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, Word]:
-    """Decompose ``a = gen^k * rep`` with ``rep`` the canonical representative
-    of the right coset <gen>*a.
+    """Decompose ``a = gen^k * rep`` with ``rep`` depending only on the right
+    coset <gen>*a, so normal forms built from it are canonical.
 
-    The representative minimizes (unit length, text) over the coset.  For a
-    single-run base generator it is found exactly from the leading run's
-    exponent; otherwise the search stops on each side after three
-    consecutive length increases past the best candidate seen, which on
-    distorted edges can stop before the minimum.
+    Exact in every branch, with ``gen = y c y^-1`` and ``c`` cyclically
+    reduced: a single-run base ``g^e`` strips the leading ``g`` exponent
+    modulo ``e``; when ``a`` lies above ``gen`` only its first segment moves;
+    when ``c`` lies below ``gen``'s top stage, ``rep`` is ``y`` times the
+    representative of ``y^-1 a`` over ``<c>`` (``e`` on ``<gen>`` itself),
+    which need not minimize (unit length, text); otherwise ``k`` is scanned
+    until Britton's lemma puts every further candidate above the best, and
+    ``rep`` is that minimum.
     """
     nfa = _nf(a, tower, stage)
     nfg = _nf(gen, tower, stage)
@@ -409,35 +405,43 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, 
             runs = ((y, Word((Letter(GENERATOR, glt.index, y),)) * rest) for y in (r, r - period))
             r, rest = min(runs, key=lambda run: sort_key(run[1]))
         return (x - r) // glt.exponent, rest
-    best_k, best = 0, nfa
-    best_key = sort_key(nfa)
-    window = max(nfa.unit_length, BOUND_FLOOR) + 4
-    undecided = False
+    top, gen_top = max_stage(nfa), max_stage(nfg)
+    if top > gen_top:
+        # the later segments of a normal form are coset representatives
+        # already, so nothing is pushed into them
+        segments, signs = _split(nfa, top)
+        k, segments[0] = _coset(segments[0], nfg, tower, top - 1)
+        return k, _assemble(segments, signs, top)
+    c, y, s, length = _cyclic_shape(nfg, tower)
+    b = _nf(y.inverse() * nfa, tower, stage) if y else nfa
+    if s < gen_top:
+        k = _member(nfa, nfg, tower, stage)
+        if k is not None:
+            return k, IDENTITY
+        k, rep = _coset(b, c, tower, stage)
+        return k, _nf(y * rep, tower, stage)
+    # gen^-k a = y c^-k b, and a pinch at either junction removes one t_s
+    # (one unit when s == 0) from each side, so every reduced form keeps at
+    # least |k| L - n_s(y) - n_s(b) of them.  When z = nf(c^-m b) keeps the
+    # first t_s of c^-m (fewer than m L pinches, sure once m L > n_s(b)) and
+    # (|k| - m) L > n_s(y) keeps y's pinches inside c^-(k-m), nf(gen^-k a)
+    # keeps (|k| - m) L - n_s(y) of them and ends in z from that t_s (unit)
+    # on, tail + m L more units.  Past these bounds no candidate wins
+    ny, nb = _stage_length(y, s), _stage_length(b, s)
+    best_k, best, best_key = 0, nfa, sort_key(nfa)
     for side in (1, -1):
-        run = 0
-        prev = None
-        for i in range(1, window + 1):
-            k = i * side
+        for m in (1, nb // length + 1):
+            z = _nf(_power_word(c, -side * m, tower, stage) * b, tower, stage)
+            if nb - _stage_length(z, s) < m * length:
+                break
+        tail = z.unit_length - (_split(z, s)[0][0].unit_length if s else 0) - m * length
+        k = side
+        while abs(k) * length - ny + (tail if abs(k) > m + ny // length else -nb) <= best.unit_length:
             cand = _nf(_power_word(nfg, -k, tower, stage) * nfa, tower, stage)
             key = sort_key(cand)
             if key < best_key:
                 best_k, best, best_key = k, cand, key
-                run, prev = 0, None
-                continue
-            cur = cand.unit_length
-            if cur > best.unit_length and (prev is None or cur > prev):
-                run += 1
-                if run >= 3:
-                    break
-            else:
-                run = 0
-            prev = cur
-        else:
-            undecided = True
-    if undecided:
-        raise MembershipUndecided(
-            f"coset representative of {a} over <{gen}> not certified within window {window}"
-        )
+            k += side
     return best_k, best
 
 
@@ -466,11 +470,7 @@ def equal(u: Word, v: Word, tower: ExtensionTower) -> bool:
 
 
 def in_cyclic(w: Word, g: Word, tower: ExtensionTower) -> int | None:
-    """k with ``w == g^k``, or None when ``w`` is no power of ``g``.
-
-    The answer is exact; only a coset window inside the normal forms it
-    compares can raise :class:`MembershipUndecided`.
-    """
+    """k with ``w == g^k``, or None when ``w`` is no power of ``g``; exact."""
     tower.validate_word(w)
     tower.validate_word(g)
     return _member(w, g, tower, tower.num_steps)

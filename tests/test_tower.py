@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grouptower import tower as tower_module
 from grouptower.words import Word, parse_word, stable, t_length, max_stage
 from grouptower.tower import (
     ExtensionTower,
@@ -249,21 +250,20 @@ def power_forms(g, tower, span=40, limit=400):
     return forms
 
 
-def test_membership_matches_brute_force_on_distorted_towers():
+@pytest.mark.parametrize("seed", [2024, 106, 111, 124])
+def test_membership_matches_brute_force_on_distorted_towers(seed):
     """in_cyclic against power scans on random towers with distorted edges.
 
-    Every answer presumes canonical normal forms.  The coset window behind
-    them is still a bounded search that can miss the minimum on distorted
-    edges (ROADMAP item 1), which breaks this property at some other seeds.
+    Every answer presumes canonical normal forms, so coset representatives
+    must be exact: no query may come back undecided.
     """
-    rng = random.Random(2024)
+    rng = random.Random(seed)
     decided = undecided = skipped = 0
     for _ in range(40):
         try:
             tower = random_distorted_tower(rng)
             gens = [w for w in random_words(tower, 5, 3, rng.random()) if nf_word(w, tower)]
         except MembershipUndecided:
-            # a coset window without certificate is a non-answer
             undecided += 1
             continue
         for step in tower.steps:
@@ -292,7 +292,20 @@ def test_membership_matches_brute_force_on_distorted_towers():
                 decided += 1
             except MembershipUndecided:
                 undecided += 1
-    assert decided >= 4 * (undecided + skipped)
+    assert undecided == 0 and decided >= 4 * skipped
+
+
+@pytest.mark.parametrize("seed", [106, 111, 124])
+def test_normal_forms_are_canonical_on_distorted_towers(seed):
+    # nf(u v) depends only on the classes of u and v
+    rng = random.Random(seed)
+    for _ in range(40):
+        tower = random_distorted_tower(rng)
+        us = random_words(tower, 15, 8, rng.random())
+        vs = random_words(tower, 15, 8, rng.random())
+        for u, v in zip(us, vs):
+            assert nf_word(nf_word(u, tower) * v, tower) == nf_word(u * v, tower), (
+                format_tower(tower), str(u), str(v))
 
 
 def brute_coset_rep(a, gen, tower, window=8):
@@ -357,7 +370,7 @@ class TestSingleRunCosets:
         start = time.perf_counter()
         form = nf_word(W("t1^-1 g1 t2") ** -10, SINGLE_RUN)
         assert time.perf_counter() - start < 0.25
-        # the representative a bounded window search certifies
+        # each coset strips the leading g1 run modulo its edge exponent
         assert form == W("g1^-29524") * W("t2^-1 g1 t1") ** 10
 
     def test_matches_brute_force_minimum(self):
@@ -369,6 +382,87 @@ class TestSingleRunCosets:
                     for w in random_words(tower, 6, 4, rng.random()):
                         a = W(f"g{i}") ** rng.randint(-40, 40) * w
                         assert coset_rep(a, gen, tower) == brute_coset_rep(a, gen, tower, window=60)
+
+
+BS16 = DISTORTED.truncate(1)
+# t1 g1 t1^-1 = g1^6, t2 g1^-1 t2^-1 = g1^-6 and t3 (t1^-1 g1 t1) t3^-1 = g1^-1:
+# g1^6 is the 36th power of the t3 edge source
+NESTED_EDGE = parse_tower(
+    "base rank=2\n"
+    "step 1 hnn source=g1 target=g1^6\n"
+    "step 2 hnn source=g1^-1 target=g1^-6\n"
+    "step 3 hnn source=t1^-1 g1 t1 target=g1^-1\n"
+)
+# distortion nested on distortion: with x = g1^-1 g0^-1, t1 x t1^-1 = x^6, and
+# the t2 edge source x^6 t1 g0 t1^-1 holds a distorted conjugate
+X6 = " ".join(["g1^-1 g0^-1"] * 6)
+NESTED_DISTORTION = parse_tower(
+    "base rank=2\n"
+    f"step 1 hnn source=g1^-1 g0^-1 target={X6}\n"
+    f"step 2 hnn source={X6} t1 g0 t1^-1 target=g1^-2\n"
+    "step 3 hnn source=g1^-1 target=t1^-2\n"
+)
+
+
+class TestExactCosetRegressions:
+    def test_distorted_generator_power_is_decided(self):
+        # g0^-6 = (t1^-1 g0 t1)^-36 in BS(1,6)
+        assert coset_rep(W("g0^-6"), DISTORTED_A, BS16) == (-36, W("e"))
+
+    def test_normal_form_where_the_edge_power_is_36(self):
+        g = W("t3^-1 g1")
+        assert nf_word(g ** -3, NESTED_EDGE) == W("g1^-31 t3^3")
+        assert nf_word(nf_word(g ** -2, NESTED_EDGE) * g ** -1, NESTED_EDGE) == W("g1^-31 t3^3")
+
+    def test_nested_distortion_word_is_its_normal_form(self):
+        w = W("t1^-1 t2 t3^-1 g1^-1 g0")
+        assert nf_word(britton_reduce(w, NESTED_DISTORTION), NESTED_DISTORTION) == w
+        relators = [s.letter * s.source * s.letter.inverse() * s.target.inverse() for s in NESTED_DISTORTION.steps]
+        alphabet = NESTED_DISTORTION.alphabet()
+        rng = random.Random(47)
+        for _ in range(40):
+            x = rng.choice(alphabet)
+            r = x * rng.choice(relators) ** rng.choice((1, -1)) * x.inverse()
+            cut = rng.randint(0, len(w.letters))
+            v = Word(w.letters[:cut]) * r * Word(w.letters[cut:])
+            assert nf_word(v, NESTED_DISTORTION) == w, str(v)
+
+
+# one generator per coset branch past the single-run one: the free-base scan
+# (g0 g1), the stage-1 scan and, for words with t2, the first-segment
+# recursion (t1, t1 g0), and the conjugated core g0 of t1^-1 g0 t1
+BRANCH_CASES = [(FREE, W("g0 g1")), (MIXED, W("t1")), (MIXED, W("t1 g0")), (BS16, DISTORTED_A)]
+BRANCH_IDS = ["free-scan", "stable-scan", "mixed-scan", "conjugated-core"]
+
+
+class TestCosetBranches:
+    @pytest.mark.parametrize("tower, gen", BRANCH_CASES, ids=BRANCH_IDS)
+    def test_shifting_by_the_generator_shifts_only_k(self, tower, gen):
+        for a in random_words(tower, 40, 5, seed=71):
+            k, rep = coset_rep(a, gen, tower)
+            assert nf_word(gen ** k * rep, tower) == nf_word(a, tower)
+            for j in (-3, -1, 2, 5):
+                assert coset_rep(gen ** j * a, gen, tower) == (k + j, rep), (str(a), j)
+
+    @pytest.mark.parametrize("tower, gen", BRANCH_CASES, ids=BRANCH_IDS)
+    def test_subgroup_is_represented_by_identity(self, tower, gen):
+        for j in range(-8, 9):
+            assert coset_rep(gen ** j, gen, tower) == (j, W("e"))
+
+    @pytest.mark.parametrize("tower, gen", BRANCH_CASES[:3], ids=BRANCH_IDS[:3])
+    def test_scans_find_the_brute_force_minimum(self, tower, gen):
+        for a in random_words(tower, 30, 5, seed=73):
+            assert coset_rep(a, gen, tower) == brute_coset_rep(a, gen, tower, window=60), str(a)
+
+    @pytest.mark.parametrize("tower, gen, a", [
+        (MIXED, "t1", "g1^400 g0"), (MIXED, "t1", "g1^400 t1"), (FREE, "g0 g1", "g1^400 g0")])
+    def test_scan_bound_counts_the_shared_suffix(self, tower, gen, a):
+        # gen^-k a keeps the g1^400 of a for every k, so a few candidates per
+        # side bound the rest instead of a walk over hundreds of powers
+        a = W(a)
+        before = tower_module._nf.cache_info().misses
+        assert coset_rep(a, W(gen), tower) == (0, a)
+        assert tower_module._nf.cache_info().misses - before < 20
 
 
 class TestCyclicReduction:
