@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report, plain = _HANDLERS[args.command](args)
-    except (ValueError, ZeroDivisionError, MembershipUndecided, oracles.CapExceeded, FileNotFoundError) as exc:
+    except (ValueError, ZeroDivisionError, MembershipUndecided, oracles.CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "structured":

@@ -18,11 +18,22 @@ exactly.  After cyclic reduction of the generator, Britton's lemma fixes the
 only possible membership exponent up to sign, and bounds the powers that can
 still shorten a coset representative.  No operation here raises
 :class:`MembershipUndecided`.
+
+Every memoized result belongs to a tower: the tower holds one memo per
+stage, and dropping the tower frees its memos.  A tower made by
+``extend_free``, ``extend_hnn`` or ``truncate`` shares the memos of the
+stages it has in common with the tower it came from, so an extension reuses
+its prefix's work.  The ``cache_info()`` of ``_reduce``, ``_nf``, ``_coset``,
+``cyclically_reduce`` and ``minimal_root`` counts hits and misses over every
+tower so far and entries over the live towers only.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
+from itertools import islice
+from weakref import WeakSet
 
 from .words import (
     GENERATOR,
@@ -40,6 +51,11 @@ from .words import (
 
 # minimum |m| window of minimal_root's edge-twist search
 BOUND_FLOOR = 16
+
+# entries per memo table of one stage; a full table drops its older half
+REDUCE_BOUND = NF_BOUND = 1 << 20
+COSET_BOUND = CYCLIC_BOUND = 1 << 18
+ROOT_BOUND = SHAPE_BOUND = 1 << 16
 
 
 class MembershipUndecided(Exception):
@@ -80,9 +96,100 @@ class ExtensionStep:
         return stable(self.stage)
 
 
+class _StageMemo:
+    """The memo tables of one tower stage, one dict each.
+
+    ``reduce``, ``nf``, ``coset`` and ``powers`` hold results that depend
+    only on the tower up to this stage, so every tower holding the memo
+    shares them.  ``shapes``, ``cyclic``, ``roots`` and ``balls`` hold the
+    results of the tower whose top stage this is.  A memo refers to no
+    tower, so it is freed as soon as the last tower holding it is.
+    """
+
+    __slots__ = ("reduce", "nf", "coset", "powers", "shapes", "cyclic", "roots", "balls", "__weakref__")
+
+    def __init__(self) -> None:
+        for name in self.__slots__[:-1]:
+            setattr(self, name, {})
+        _live_memos.add(self)
+
+
+_live_memos: WeakSet[_StageMemo] = WeakSet()
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Table:
+    """One memo table, named by its attribute in every stage memo.
+
+    Counts hits and misses over every tower so far; its length and
+    ``values()`` read the live memos only.
+    """
+
+    __slots__ = ("name", "bound", "hits", "misses")
+
+    def __init__(self, name: str, bound: int | None = None):
+        self.name, self.bound = name, bound
+        self.hits = self.misses = 0
+
+    def store(self, table: dict, key, value):
+        """Remember a computed result; returns it."""
+        self.misses += 1
+        if self.bound is not None and len(table) >= self.bound:
+            for old in list(islice(table, len(table) // 2)):
+                del table[old]
+        table[key] = value
+        return value
+
+    def __len__(self) -> int:
+        return sum(len(getattr(memo, self.name)) for memo in _live_memos)
+
+    def values(self) -> list:
+        return [v for memo in _live_memos for v in getattr(memo, self.name).values()]
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, self.bound, len(self))
+
+
+_REDUCE = _Table("reduce", REDUCE_BOUND)
+_NF = _Table("nf", NF_BOUND)
+_COSET = _Table("coset", COSET_BOUND)
+_SHAPES = _Table("shapes", SHAPE_BOUND)
+_CYCLIC = _Table("cyclic", CYCLIC_BOUND)
+_ROOTS = _Table("roots", ROOT_BOUND)
+# read-only views for inspection: the power tables (each with ``.words``)
+# and the enumerated balls of the live towers
+_power_tables = _Table("powers")
+_ball_cache = _Table("balls")
+
+
+def _per_tower(cache: _Table):
+    """Memoize ``fn(w, tower)`` in the memo of the tower's top stage."""
+
+    def decorate(fn):
+        @wraps(fn)
+        def memoized(w: Word, tower: ExtensionTower):
+            table = getattr(tower._memos[-1], cache.name)
+            hit = table.get(w)
+            if hit is not None:
+                cache.hits += 1
+                return hit
+            return cache.store(table, w, fn(w, tower))
+
+        memoized.cache_info = cache.cache_info
+        return memoized
+
+    return decorate
+
+
 @dataclass(frozen=True, eq=False)
 class ExtensionTower:
-    """A base free group plus an ordered sequence of extension steps."""
+    """A base free group plus an ordered sequence of extension steps.
+
+    The tower holds one memo per stage ``0..num_steps``.  A tower built
+    directly starts with fresh memos; ``extend_free``, ``extend_hnn`` and
+    ``truncate`` share this tower's memos up to the stages both towers have.
+    """
 
     base_rank: int
     steps: tuple[ExtensionStep, ...] = ()
@@ -93,9 +200,7 @@ class ExtensionTower:
         for i, step in enumerate(self.steps, start=1):
             if step.stage != i:
                 raise ValueError(f"step {i} carries stage {step.stage}")
-        # towers key every memoized engine call; hashing must not walk the
-        # steps each time
-        object.__setattr__(self, "_hash", hash((self.base_rank, self.steps)))
+        object.__setattr__(self, "_memos", tuple(_StageMemo() for _ in range(len(self.steps) + 1)))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -105,7 +210,7 @@ class ExtensionTower:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.base_rank, self.steps))
 
     @property
     def num_steps(self) -> int:
@@ -118,20 +223,30 @@ class ExtensionTower:
         """The tower consisting of the first ``stage`` steps."""
         if not 0 <= stage <= self.num_steps:
             raise ValueError(f"no stage {stage} in this tower")
-        return ExtensionTower(self.base_rank, self.steps[:stage])
+        return self._sharing(self.steps[:stage])
 
     def extend_free(self) -> "ExtensionTower":
-        step = ExtensionStep(self.num_steps + 1)
-        return ExtensionTower(self.base_rank, self.steps + (step,))
+        return self._sharing(self.steps + (ExtensionStep(self.num_steps + 1),))
 
     def extend_hnn(self, source: Word, target: Word) -> "ExtensionTower":
         """Adjoin ``t source t^-1 = target``; edge words are canonicalized first."""
+        self.validate_word(source)
+        self.validate_word(target)
         src = _nf(source, self, self.num_steps)
         tgt = _nf(target, self, self.num_steps)
         if not src or not tgt:
             raise PreconditionViolated("edge words must be nonidentity")
-        step = ExtensionStep(self.num_steps + 1, src, tgt)
-        return ExtensionTower(self.base_rank, self.steps + (step,))
+        return self._sharing(self.steps + (ExtensionStep(self.num_steps + 1, src, tgt),))
+
+    def _sharing(self, steps: tuple[ExtensionStep, ...]) -> "ExtensionTower":
+        """The tower on ``steps``, a prefix or extension of this tower's,
+        holding this tower's memos for the stages both towers have.  The
+        steps are numbered by construction, so ``__post_init__`` and its
+        fresh memos are skipped."""
+        tower = object.__new__(ExtensionTower)
+        fresh = tuple(_StageMemo() for _ in range(self.num_steps, len(steps)))
+        tower.__dict__.update(base_rank=self.base_rank, steps=steps, _memos=self._memos[: len(steps) + 1] + fresh)
+        return tower
 
     def validate_word(self, w: Word) -> None:
         gens, stage = w.bounds()
@@ -208,12 +323,18 @@ def _assemble(segments: list[Word], signs: list[int], stage: int) -> Word:
     return Word(letters) if cancelled else merged_word(tuple(letters))
 
 
-@lru_cache(maxsize=1 << 20)
 def _reduce(word: Word, tower: ExtensionTower, stage: int, leftmost: bool) -> Word:
-    """Eliminate pinches and stable-letter cancellations at stages <= stage."""
+    """Eliminate pinches and stable-letter cancellations at stages <= stage;
+    memoized in the memo of the stage it works at."""
     s = min(stage, max_stage(word))
     if s == 0:
         return word
+    table = tower._memos[s].reduce
+    key = (word, leftmost)
+    hit = table.get(key)
+    if hit is not None:
+        _REDUCE.hits += 1
+        return hit
     step = tower.step(s)
     segments, signs = _split(word, s)
     # a segment without stable letters is reduced already
@@ -242,23 +363,26 @@ def _reduce(word: Word, tower: ExtensionTower, stage: int, leftmost: bool) -> Wo
         merged = _reduce(segments[i] * image * segments[i + 2], tower, s - 1, leftmost)
         segments[i : i + 3] = [merged]
         del signs[i : i + 2]
-    if not signs:
-        return segments[0]
-    return _assemble(segments, signs, s)
+    return _REDUCE.store(table, key, _assemble(segments, signs, s) if signs else segments[0])
 
 
-@lru_cache(maxsize=1 << 20)
 def _nf(word: Word, tower: ExtensionTower, stage: int) -> Word:
     """Canonical form: reduce, then rewrite each post-letter segment to its
     coset-transversal representative, pushing the cyclic part across the
-    stable letter (right to left, so pushes land before decomposition)."""
+    stable letter (right to left, so pushes land before decomposition).
+    Memoized in the memo of the stage it works at."""
     s = min(stage, max_stage(word))
     if s == 0:
         return word
+    table = tower._memos[s].nf
+    hit = table.get(word)
+    if hit is not None:
+        _NF.hits += 1
+        return hit
     reduced = _reduce(word, tower, s, True)
     s = min(s, max_stage(reduced))
     if s == 0:
-        return reduced
+        return _NF.store(table, word, reduced)
     step = tower.step(s)
     segments, signs = _split(reduced, s)
     for i in range(len(signs), 0, -1):
@@ -274,38 +398,37 @@ def _nf(word: Word, tower: ExtensionTower, stage: int) -> Word:
         if k:
             segments[i - 1] = segments[i - 1] * _power_word(other, k, tower, s - 1)
     segments[0] = _nf(segments[0], tower, s - 1)
-    return _assemble(segments, signs, s)
+    return _NF.store(table, word, _assemble(segments, signs, s))
+
+
+_reduce.cache_info = _REDUCE.cache_info
+_nf.cache_info = _NF.cache_info
 
 
 class _PowerTable:
     """Lazily extended cache of the normal forms of powers of one word."""
 
-    __slots__ = ("tower", "stage", "words")
+    __slots__ = ("stage", "words")
 
     def __init__(self, base: Word, tower: ExtensionTower, stage: int):
-        self.tower = tower
         self.stage = stage
         self.words = {0: IDENTITY, 1: base, -1: _nf(base.inverse(), tower, stage)}
 
-    def power(self, k: int) -> Word:
+    def power(self, k: int, tower: ExtensionTower) -> Word:
         # halving keeps the work logarithmic in |k|: exact cosets push the
         # true exponents of distorted elements, which run into the millions
         words = self.words
         if k not in words:
             half = k // 2
-            words[k] = _nf(self.power(half) * self.power(k - half), self.tower, self.stage)
+            words[k] = _nf(self.power(half, tower) * self.power(k - half, tower), tower, self.stage)
         return words[k]
 
 
-_power_tables: dict[tuple[Word, ExtensionTower, int], _PowerTable] = {}
-
-
 def _table(base: Word, tower: ExtensionTower, stage: int) -> _PowerTable:
-    key = (base, tower, stage)
-    table = _power_tables.get(key)
+    tables = tower._memos[stage].powers
+    table = tables.get(base)
     if table is None:
-        table = _PowerTable(base, tower, stage)
-        _power_tables[key] = table
+        table = tables[base] = _PowerTable(base, tower, stage)
     return table
 
 
@@ -316,7 +439,7 @@ def _power_word(base: Word, k: int, tower: ExtensionTower, stage: int) -> Word:
     if len(nfb.letters) == 1:
         lt = nfb.letters[0]
         return merged_word((Letter(lt.kind, lt.index, lt.exponent * k),))
-    return _table(nfb, tower, stage).power(k)
+    return _table(nfb, tower, stage).power(k, tower)
 
 
 def _stage_length(w: Word, stage: int) -> int:
@@ -326,7 +449,7 @@ def _stage_length(w: Word, stage: int) -> int:
     return sum(abs(lt[2]) for lt in w.letters if lt[0] == STABLE and lt[1] == stage)
 
 
-@lru_cache(maxsize=1 << 16)
+@_per_tower(_SHAPES)
 def _cyclic_shape(gen: Word, tower: ExtensionTower) -> tuple[Word, Word, int, int]:
     """``(c, y, s, L)`` with ``gen = y c y^-1``, ``c`` cyclically reduced,
     ``s`` the top stage of ``c`` and ``L`` its stage length."""
@@ -372,8 +495,21 @@ def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None
     return None
 
 
-@lru_cache(maxsize=1 << 18)
 def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, Word]:
+    """:func:`_decompose`, memoized in the memo of ``stage``."""
+    table = tower._memos[stage].coset
+    key = (a, gen)
+    hit = table.get(key)
+    if hit is not None:
+        _COSET.hits += 1
+        return hit
+    return _COSET.store(table, key, _decompose(a, gen, tower, stage))
+
+
+_coset.cache_info = _COSET.cache_info
+
+
+def _decompose(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, Word]:
     """Decompose ``a = gen^k * rep`` with ``rep`` depending only on the right
     coset <gen>*a, so normal forms built from it are canonical.
 
@@ -482,7 +618,7 @@ def coset_rep(a: Word, generator: Word, tower: ExtensionTower) -> tuple[int, Wor
     return _coset(a, generator, tower, tower.num_steps)
 
 
-@lru_cache(maxsize=1 << 18)
+@_per_tower(_CYCLIC)
 def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
     """Return ``(c, y)`` with ``w = y c y^-1`` and every rotation of ``c`` reduced.
 
@@ -538,7 +674,7 @@ def _free_root(c: Word) -> tuple[Word, int]:
     return c, 1
 
 
-@lru_cache(maxsize=1 << 16)
+@_per_tower(_ROOTS)
 def minimal_root(a: Word, tower: ExtensionTower) -> tuple[Word, int]:
     """``(w, n)`` with ``w^n = a`` and ``w`` admitting no proper root.
 
@@ -592,15 +728,12 @@ def commutes(a: Word, b: Word, tower: ExtensionTower) -> bool:
     return not nf_word(a * b * a.inverse() * b.inverse(), tower)
 
 
-_ball_cache: dict[tuple[ExtensionTower, int], tuple[Word, ...]] = {}
-
-
 def ball_words(tower: ExtensionTower, radius: int) -> tuple[Word, ...]:
     """All distinct normal forms of words of unit length <= radius, sorted."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    key = (tower, radius)
-    cached = _ball_cache.get(key)
+    balls = tower._memos[-1].balls
+    cached = balls.get(radius)
     if cached is not None:
         return cached
     stage = tower.num_steps
@@ -616,8 +749,7 @@ def ball_words(tower: ExtensionTower, radius: int) -> tuple[Word, ...]:
                     seen.add(v)
                     fresh.append(v)
         frontier = sorted(fresh, key=sort_key)
-    result = tuple(sorted(seen, key=sort_key))
-    _ball_cache[key] = result
+    result = balls[radius] = tuple(sorted(seen, key=sort_key))
     return result
 
 

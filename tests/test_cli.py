@@ -193,9 +193,15 @@ class TestDeterminism:
             ["minstruct", "--bound", "0"],
             ["minstruct", "--support-bound", "0"],
             ["minstruct", "--embed-bound", "0"],
+            # an hnn edge word outside the rank-2 base
+            ["reduce", "t1^-1 g0 t1", "--tower", "{tmp}/outside.tower"],
+            # a directory where a tower file belongs
+            ["reduce", "g0", "--tower", "{tmp}"],
         ],
     )
-    def test_invalid_input_exits_two(self, argv, capsys):
+    def test_invalid_input_exits_two(self, argv, tmp_path, capsys):
+        (tmp_path / "outside.tower").write_text("base rank=2\nstep 1 hnn source=g5 target=g0\n")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -617,6 +619,65 @@ class TestTowerDescriptions:
             parse_tower("rank=2\n")
         with pytest.raises(ValueError):
             parse_tower("base rank=2\nstep 2 freeZ\n")
+
+    def test_hnn_edge_words_must_lie_in_the_tower(self):
+        # g5 is no generator of a rank-2 base; accepted, it came back out of
+        # nf_word(t1^-1 g0 t1), which itself rejects g5
+        with pytest.raises(ValueError, match="g5"):
+            ExtensionTower(2).extend_hnn(W("g5"), W("g0"))
+        with pytest.raises(ValueError, match="g2"):
+            FREEZ.extend_hnn(W("t1"), W("g2^2"))
+
+
+def _live_cache_sizes():
+    return [f.cache_info().currsize for f in (tower_module._nf, tower_module._reduce, tower_module._coset)]
+
+
+class TestCacheOwnership:
+    def test_a_dropped_tower_frees_its_memos(self):
+        # reference counting alone must free them: no memo refers to a tower
+        gc.disable()
+        try:
+            before = _live_cache_sizes()
+            tower = ExtensionTower(2).extend_free().extend_hnn(W("g0"), W("t1 g1"))
+            for w in random_words(tower, 50, 8, seed=53):
+                nf_word(w, tower)
+            assert all(now > then for now, then in zip(_live_cache_sizes(), before))
+            ref = weakref.ref(tower)
+            del tower
+            assert ref() is None
+            assert _live_cache_sizes() == before
+        finally:
+            gc.enable()
+
+    def test_an_extension_reuses_its_prefix_normal_forms(self):
+        base = ExtensionTower(2).extend_hnn(W("g0"), W("g1^2"))
+        words = random_words(base, 50, 8, seed=59)
+        forms = [nf_word(w, base) for w in words]
+        misses = tower_module._nf.cache_info().misses
+        extended = base.extend_free()
+        assert [nf_word(w, extended) for w in words] == forms
+        assert [nf_word(w, extended.truncate(1)) for w in words] == forms
+        assert tower_module._nf.cache_info().misses == misses
+
+    def test_a_full_table_drops_its_older_half(self):
+        cache, table = tower_module._Table("nf", 4), {}
+        for k in range(5):
+            assert cache.store(table, k, -k) == -k
+        assert table == {2: -2, 3: -3, 4: -4}
+        assert cache.misses == 5
+
+
+@pytest.mark.parametrize("seed", [2024, 106, 111, 124])
+def test_normal_forms_do_not_depend_on_query_history(seed):
+    # the parsed copy starts with fresh memos and meets the words backwards
+    rng = random.Random(seed)
+    for _ in range(20):
+        warm = random_distorted_tower(rng)
+        words = random_words(warm, 30, 8, rng.random())
+        forms = [nf_word(w, warm) for w in words]
+        fresh = parse_tower(format_tower(warm))
+        assert [nf_word(w, fresh) for w in reversed(words)] == forms[::-1], format_tower(warm)
 
 
 @given(data=st.data())
