@@ -25,12 +25,13 @@ stage, and dropping the tower frees its memos.  A tower made by
 stages it has in common with the tower it came from, so an extension reuses
 its prefix's work.  The ``cache_info()`` of ``_reduce``, ``_nf``, ``_coset``,
 ``cyclically_reduce`` and ``minimal_root`` counts hits and misses over every
-tower so far and entries over the live towers only.
+tower so far (a call on a stage-0 word, its own result, is a miss) and
+entries over the live towers only.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import wraps
 from itertools import islice
 from weakref import WeakSet
@@ -163,23 +164,47 @@ _power_tables = _Table("powers")
 _ball_cache = _Table("balls")
 
 
-def _per_tower(cache: _Table):
-    """Memoize ``fn(w, tower)`` in the memo of the tower's top stage."""
+def _memoized(cache: _Table, locate):
+    """Memoize ``fn`` in the stage memos' table named by ``cache``.
+
+    ``locate(*args)`` gives a call's stage memo and key, or None when the
+    call's first argument is its result (a stage-0 word), which counts as a
+    miss and is not stored.
+    """
 
     def decorate(fn):
+        name = cache.name
+
         @wraps(fn)
-        def memoized(w: Word, tower: ExtensionTower):
-            table = getattr(tower._memos[-1], cache.name)
-            hit = table.get(w)
+        def memoized(*args):
+            where = locate(*args)
+            if where is None:
+                cache.misses += 1
+                return args[0]
+            memo, key = where
+            table = getattr(memo, name)
+            hit = table.get(key)
             if hit is not None:
                 cache.hits += 1
                 return hit
-            return cache.store(table, w, fn(w, tower))
+            return cache.store(table, key, fn(*args))
 
         memoized.cache_info = cache.cache_info
         return memoized
 
     return decorate
+
+
+def _at_stage(word: Word, tower: ExtensionTower, stage: int, *flags):
+    """The memo of the stage a call on ``word`` works at, keyed by the word
+    (with ``flags`` when there are any); None at stage 0."""
+    s = min(stage, max_stage(word))
+    return (tower._memos[s], (word, *flags) if flags else word) if s else None
+
+
+def _at_top(w: Word, tower: ExtensionTower):
+    """The memo of the tower's top stage, keyed by ``w``."""
+    return tower._memos[-1], w
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,19 +213,23 @@ class ExtensionTower:
 
     The tower holds one memo per stage ``0..num_steps``.  A tower built
     directly starts with fresh memos; ``extend_free``, ``extend_hnn`` and
-    ``truncate`` share this tower's memos up to the stages both towers have.
+    ``truncate`` share this tower's memos up to the stages both towers have,
+    passing them as ``_prefix_memos``.
     """
 
     base_rank: int
     steps: tuple[ExtensionStep, ...] = ()
+    _prefix_memos: InitVar[tuple[_StageMemo, ...]] = ()
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _prefix_memos: tuple[_StageMemo, ...]) -> None:
         if self.base_rank < 1:
             raise ValueError("base rank must be positive")
         for i, step in enumerate(self.steps, start=1):
             if step.stage != i:
                 raise ValueError(f"step {i} carries stage {step.stage}")
-        object.__setattr__(self, "_memos", tuple(_StageMemo() for _ in range(len(self.steps) + 1)))
+        shared = _prefix_memos[: len(self.steps) + 1]
+        fresh = tuple(_StageMemo() for _ in range(len(shared), len(self.steps) + 1))
+        object.__setattr__(self, "_memos", shared + fresh)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -223,10 +252,11 @@ class ExtensionTower:
         """The tower consisting of the first ``stage`` steps."""
         if not 0 <= stage <= self.num_steps:
             raise ValueError(f"no stage {stage} in this tower")
-        return self._sharing(self.steps[:stage])
+        return ExtensionTower(self.base_rank, self.steps[:stage], self._memos)
 
     def extend_free(self) -> "ExtensionTower":
-        return self._sharing(self.steps + (ExtensionStep(self.num_steps + 1),))
+        step = ExtensionStep(self.num_steps + 1)
+        return ExtensionTower(self.base_rank, self.steps + (step,), self._memos)
 
     def extend_hnn(self, source: Word, target: Word) -> "ExtensionTower":
         """Adjoin ``t source t^-1 = target``; edge words are canonicalized first."""
@@ -236,17 +266,8 @@ class ExtensionTower:
         tgt = _nf(target, self, self.num_steps)
         if not src or not tgt:
             raise PreconditionViolated("edge words must be nonidentity")
-        return self._sharing(self.steps + (ExtensionStep(self.num_steps + 1, src, tgt),))
-
-    def _sharing(self, steps: tuple[ExtensionStep, ...]) -> "ExtensionTower":
-        """The tower on ``steps``, a prefix or extension of this tower's,
-        holding this tower's memos for the stages both towers have.  The
-        steps are numbered by construction, so ``__post_init__`` and its
-        fresh memos are skipped."""
-        tower = object.__new__(ExtensionTower)
-        fresh = tuple(_StageMemo() for _ in range(self.num_steps, len(steps)))
-        tower.__dict__.update(base_rank=self.base_rank, steps=steps, _memos=self._memos[: len(steps) + 1] + fresh)
-        return tower
+        step = ExtensionStep(self.num_steps + 1, src, tgt)
+        return ExtensionTower(self.base_rank, self.steps + (step,), self._memos)
 
     def validate_word(self, w: Word) -> None:
         gens, stage = w.bounds()
@@ -323,18 +344,10 @@ def _assemble(segments: list[Word], signs: list[int], stage: int) -> Word:
     return Word(letters) if cancelled else merged_word(tuple(letters))
 
 
+@_memoized(_REDUCE, _at_stage)
 def _reduce(word: Word, tower: ExtensionTower, stage: int, leftmost: bool) -> Word:
-    """Eliminate pinches and stable-letter cancellations at stages <= stage;
-    memoized in the memo of the stage it works at."""
-    s = min(stage, max_stage(word))
-    if s == 0:
-        return word
-    table = tower._memos[s].reduce
-    key = (word, leftmost)
-    hit = table.get(key)
-    if hit is not None:
-        _REDUCE.hits += 1
-        return hit
+    """Eliminate pinches and stable-letter cancellations at stages <= stage."""
+    s = min(stage, max_stage(word))  # >= 1: the memo returns stage-0 words
     step = tower.step(s)
     segments, signs = _split(word, s)
     # a segment without stable letters is reduced already
@@ -363,26 +376,21 @@ def _reduce(word: Word, tower: ExtensionTower, stage: int, leftmost: bool) -> Wo
         merged = _reduce(segments[i] * image * segments[i + 2], tower, s - 1, leftmost)
         segments[i : i + 3] = [merged]
         del signs[i : i + 2]
-    return _REDUCE.store(table, key, _assemble(segments, signs, s) if signs else segments[0])
+    if not signs:
+        return segments[0]
+    return _assemble(segments, signs, s)
 
 
+@_memoized(_NF, _at_stage)
 def _nf(word: Word, tower: ExtensionTower, stage: int) -> Word:
     """Canonical form: reduce, then rewrite each post-letter segment to its
     coset-transversal representative, pushing the cyclic part across the
-    stable letter (right to left, so pushes land before decomposition).
-    Memoized in the memo of the stage it works at."""
-    s = min(stage, max_stage(word))
-    if s == 0:
-        return word
-    table = tower._memos[s].nf
-    hit = table.get(word)
-    if hit is not None:
-        _NF.hits += 1
-        return hit
+    stable letter (right to left, so pushes land before decomposition)."""
+    s = min(stage, max_stage(word))  # >= 1: the memo returns stage-0 words
     reduced = _reduce(word, tower, s, True)
     s = min(s, max_stage(reduced))
     if s == 0:
-        return _NF.store(table, word, reduced)
+        return reduced
     step = tower.step(s)
     segments, signs = _split(reduced, s)
     for i in range(len(signs), 0, -1):
@@ -398,11 +406,7 @@ def _nf(word: Word, tower: ExtensionTower, stage: int) -> Word:
         if k:
             segments[i - 1] = segments[i - 1] * _power_word(other, k, tower, s - 1)
     segments[0] = _nf(segments[0], tower, s - 1)
-    return _NF.store(table, word, _assemble(segments, signs, s))
-
-
-_reduce.cache_info = _REDUCE.cache_info
-_nf.cache_info = _NF.cache_info
+    return _assemble(segments, signs, s)
 
 
 class _PowerTable:
@@ -449,7 +453,7 @@ def _stage_length(w: Word, stage: int) -> int:
     return sum(abs(lt[2]) for lt in w.letters if lt[0] == STABLE and lt[1] == stage)
 
 
-@_per_tower(_SHAPES)
+@_memoized(_SHAPES, _at_top)
 def _cyclic_shape(gen: Word, tower: ExtensionTower) -> tuple[Word, Word, int, int]:
     """``(c, y, s, L)`` with ``gen = y c y^-1``, ``c`` cyclically reduced,
     ``s`` the top stage of ``c`` and ``L`` its stage length."""
@@ -495,21 +499,8 @@ def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None
     return None
 
 
+@_memoized(_COSET, lambda a, gen, tower, stage: (tower._memos[stage], (a, gen)))
 def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, Word]:
-    """:func:`_decompose`, memoized in the memo of ``stage``."""
-    table = tower._memos[stage].coset
-    key = (a, gen)
-    hit = table.get(key)
-    if hit is not None:
-        _COSET.hits += 1
-        return hit
-    return _COSET.store(table, key, _decompose(a, gen, tower, stage))
-
-
-_coset.cache_info = _COSET.cache_info
-
-
-def _decompose(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, Word]:
     """Decompose ``a = gen^k * rep`` with ``rep`` depending only on the right
     coset <gen>*a, so normal forms built from it are canonical.
 
@@ -618,7 +609,7 @@ def coset_rep(a: Word, generator: Word, tower: ExtensionTower) -> tuple[int, Wor
     return _coset(a, generator, tower, tower.num_steps)
 
 
-@_per_tower(_CYCLIC)
+@_memoized(_CYCLIC, _at_top)
 def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
     """Return ``(c, y)`` with ``w = y c y^-1`` and every rotation of ``c`` reduced.
 
@@ -674,7 +665,7 @@ def _free_root(c: Word) -> tuple[Word, int]:
     return c, 1
 
 
-@_per_tower(_ROOTS)
+@_memoized(_ROOTS, _at_top)
 def minimal_root(a: Word, tower: ExtensionTower) -> tuple[Word, int]:
     """``(w, n)`` with ``w^n = a`` and ``w`` admitting no proper root.
 
