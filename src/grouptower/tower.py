@@ -11,7 +11,10 @@ On top of the resulting groups this module provides reduction to pinch-free
 words, canonical normal forms (so word equality decides group equality),
 cyclic reduction, conjugacy into the stage below the top step,
 cyclic-subgroup membership, root extraction, commutation tests and
-centralizer balls.
+centralizer balls.  A normal form takes one pass per stage: split at the top
+stable letter, normal-form the segments one stage down, remove pinches, and
+rewrite each later segment to its coset representative, right to left.
+Pinch-free words (``britton_reduce``) share that pinch loop.
 
 Membership in a cyclic subgroup and coset representatives are decided
 exactly.  After cyclic reduction of the generator, Britton's lemma fixes the
@@ -344,14 +347,14 @@ def _assemble(segments: list[Word], signs: list[int], stage: int) -> Word:
     return Word(letters) if cancelled else merged_word(tuple(letters))
 
 
-@_memoized(_REDUCE, _at_stage)
-def _reduce(word: Word, tower: ExtensionTower, stage: int, leftmost: bool) -> Word:
-    """Eliminate pinches and stable-letter cancellations at stages <= stage."""
-    s = min(stage, max_stage(word))  # >= 1: the memo returns stage-0 words
+def _pinch_free(word: Word, tower: ExtensionTower, s: int, leftmost: bool, rewrite) -> tuple[list[Word], list[int]]:
+    """Split ``word`` at stage ``s`` and remove its pinches there, leftmost or
+    rightmost first; ``rewrite`` reduces each segment with a stable letter,
+    and each segment a pinch merges, one stage down."""
     step = tower.step(s)
     segments, signs = _split(word, s)
     # a segment without stable letters is reduced already
-    segments = [_reduce(seg, tower, s - 1, leftmost) if max_stage(seg) else seg for seg in segments]
+    segments = [rewrite(seg) if max_stage(seg) else seg for seg in segments]
     while True:
         m = len(signs)
         positions = range(m - 1) if leftmost else range(m - 2, -1, -1)
@@ -371,42 +374,38 @@ def _reduce(word: Word, tower: ExtensionTower, stage: int, leftmost: bool) -> Wo
                     hit = (i, _power_word(other, k, tower, s - 1))
                     break
         if hit is None:
-            break
+            return segments, signs
         i, image = hit
-        merged = _reduce(segments[i] * image * segments[i + 2], tower, s - 1, leftmost)
-        segments[i : i + 3] = [merged]
+        segments[i : i + 3] = [rewrite(segments[i] * image * segments[i + 2])]
         del signs[i : i + 2]
-    if not signs:
-        return segments[0]
-    return _assemble(segments, signs, s)
+
+
+@_memoized(_REDUCE, _at_stage)
+def _reduce(word: Word, tower: ExtensionTower, stage: int, leftmost: bool) -> Word:
+    """Eliminate pinches and stable-letter cancellations at stages <= stage."""
+    s = min(stage, max_stage(word))  # >= 1: the memo returns stage-0 words
+    segments, signs = _pinch_free(word, tower, s, leftmost, lambda seg: _reduce(seg, tower, s - 1, leftmost))
+    return _assemble(segments, signs, s) if signs else segments[0]
 
 
 @_memoized(_NF, _at_stage)
 def _nf(word: Word, tower: ExtensionTower, stage: int) -> Word:
-    """Canonical form: reduce, then rewrite each post-letter segment to its
-    coset-transversal representative, pushing the cyclic part across the
-    stable letter (right to left, so pushes land before decomposition)."""
+    """Canonical form in one pass: split at the top stage, normal-form the
+    segments one stage down and remove pinches, then rewrite each post-letter
+    segment to its coset-transversal representative, pushing the cyclic part
+    across the stable letter (right to left, so pushes land before
+    decomposition)."""
     s = min(stage, max_stage(word))  # >= 1: the memo returns stage-0 words
-    reduced = _reduce(word, tower, s, True)
-    s = min(s, max_stage(reduced))
-    if s == 0:
-        return reduced
+    segments, signs = _pinch_free(word, tower, s, True, lambda seg: _nf(seg, tower, s - 1))
     step = tower.step(s)
-    segments, signs = _split(reduced, s)
-    for i in range(len(signs), 0, -1):
-        if step.is_free:
-            segments[i] = _nf(segments[i], tower, s - 1)
-            continue
-        if signs[i - 1] > 0:
-            gen, other = step.source, step.target
-        else:
-            gen, other = step.target, step.source
-        k, rep = _coset(segments[i], gen, tower, s - 1)
-        segments[i] = rep
-        if k:
-            segments[i - 1] = segments[i - 1] * _power_word(other, k, tower, s - 1)
-    segments[0] = _nf(segments[0], tower, s - 1)
-    return _assemble(segments, signs, s)
+    # the segments are normal forms, and a free step has no coset to rewrite
+    for i in range(0 if step.is_free else len(signs), 0, -1):
+        gen, other = (step.source, step.target) if signs[i - 1] > 0 else (step.target, step.source)
+        k, segments[i] = _coset(segments[i], gen, tower, s - 1)
+        if k:  # _coset normal-forms every pushed segment but the first
+            pushed = segments[i - 1] * _power_word(other, k, tower, s - 1)
+            segments[i - 1] = pushed if i > 1 else _nf(pushed, tower, s - 1)
+    return _assemble(segments, signs, s) if signs else segments[0]
 
 
 class _PowerTable:

@@ -18,16 +18,10 @@ from grouptower.constructions import (
     classical_state,
     classical_step,
     classical_suite,
-    run_construction,
 )
 from grouptower.tower import ExtensionTower, britton_reduce, nf_word
 
 W = parse_word
-
-
-@pytest.fixture(scope="module")
-def six_stage_state():
-    return run_construction(6, radius=2, power_bound=4)
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +60,9 @@ def test_criterion_1_normal_form_confluence():
           f"0 mismatches, {elapsed:.1f}s")
 
 
-def test_criterion_2_relation_soundness(six_stage_state, classical_radius_one):
+def test_criterion_2_relation_soundness(six_stage, classical_radius_one):
     towers = [
-        six_stage_state.tower,
+        six_stage.tower,
         classical_radius_one.tower,
         ExtensionTower(2).extend_hnn(W("g0"), W("g1")),
         ExtensionTower(2).extend_free().extend_hnn(W("g0"), W("t1 g0")),
@@ -98,8 +92,8 @@ def test_criterion_3_classical_construction():
           f"centralizer witnesses for g0")
 
 
-def test_criterion_4_tower_conditions(six_stage_state, six_stage_report):
-    state, report = six_stage_state, six_stage_report
+def test_criterion_4_tower_conditions(six_stage, six_stage_report):
+    state, report = six_stage, six_stage_report
     # (i) growth at every stage: each fresh letter survives in its stage
     for s in range(1, state.tower.num_steps + 1):
         partial = state.tower.truncate(s)

@@ -22,11 +22,6 @@ W = parse_word
 
 
 @pytest.fixture(scope="module")
-def six_stage():
-    return run_construction(6, radius=2, power_bound=4)
-
-
-@pytest.fixture(scope="module")
 def six_report(six_stage):
     return check_conditions(six_stage, min_centralizer_candidates=120, seed=1)
 

@@ -430,6 +430,30 @@ class TestExactCosetRegressions:
             assert nf_word(v, NESTED_DISTORTION) == w, str(v)
 
 
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+@pytest.mark.parametrize("seed", [2024, 106, 111, 124, "nested"])
+def test_one_pass_normal_form_matches_reduce_first(seed, strategy):
+    """nf_word(w) against nf_word(britton_reduce(w)), the normal form of a
+    word reduced first, on random words with a conjugated relator spliced
+    in, so that both routes meet pinches.  The second route runs on a parsed
+    copy of the tower, so neither reads the other's memo entries."""
+    if seed == "nested":
+        rng, towers = random.Random(71), [NESTED_DISTORTION]
+    else:
+        rng = random.Random(seed)
+        towers = [random_distorted_tower(rng) for _ in range(8)]
+    for tower in towers:
+        copy = parse_tower(format_tower(tower))
+        relators = [s.letter * s.source * s.letter.inverse() * s.target.inverse() for s in tower.steps if not s.is_free]
+        for u in random_words(tower, 60, 8, rng.random()):
+            w = u
+            if relators:
+                x = random_words(tower, 1, 3, rng.random())[0]
+                cut = rng.randint(0, len(u.letters))
+                w = Word(u.letters[:cut]) * x * rng.choice(relators) ** rng.choice((1, -1)) * x.inverse() * Word(u.letters[cut:])
+            assert nf_word(w, tower) == nf_word(britton_reduce(w, copy, strategy), copy), f"{w} on {format_tower(tower)}"
+
+
 # one generator per coset branch past the single-run one: the free-base scan
 # (g0 g1), the stage-1 scan and, for words with t2, the first-segment
 # recursion (t1, t1 g0), and the conjugated core g0 of t1^-1 g0 t1
@@ -640,8 +664,10 @@ class TestCacheOwnership:
         try:
             before = _live_cache_sizes()
             tower = ExtensionTower(2).extend_free().extend_hnn(W("g0"), W("t1 g1"))
+            # each table is filled by the operation that owns it
             for w in random_words(tower, 50, 8, seed=53):
                 nf_word(w, tower)
+                britton_reduce(w, tower)
             assert all(now > then for now, then in zip(_live_cache_sizes(), before))
             ref = weakref.ref(tower)
             del tower
@@ -662,6 +688,17 @@ class TestCacheOwnership:
         assert [nf_word(w, extended) for w in words] == forms
         assert [nf_word(w, extended.truncate(1)) for w in words] == forms
         assert tower_module._nf.cache_info().misses == misses
+
+    def test_normal_forms_do_not_go_through_britton_reduction(self):
+        # single base runs as edge words: membership, cosets and powers are
+        # exact arithmetic, so no cyclic reduction calls _reduce either
+        tower = ExtensionTower(2).extend_hnn(W("g0"), W("g1^2"))
+        words = [w for w in random_words(tower, 80, 8, seed=61) if max_stage(w) == 1]
+        assert len(words) >= 40
+        info = tower_module._reduce.cache_info()
+        for w in words:
+            nf_word(w, tower)
+        assert tower_module._reduce.cache_info()[:2] == info[:2]
 
     def test_a_full_table_drops_its_older_half(self):
         cache, table = tower_module._Table("nf", 4), {}
