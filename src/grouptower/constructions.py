@@ -33,8 +33,9 @@ from .tower import (
     MembershipUndecided,
     PreconditionViolated,
     _free_root,
-    _member,
+    _member_nf,
     _nf,
+    _nf_product,
     ball_words,
     commutes,
     cyclically_reduce,
@@ -369,6 +370,8 @@ def check_conditions(
 
     outside = [y for y in ball if y and not state.ledger.contains(y, tower)]
     tuples = len(ball) * state.power_bound
+    # ball words are normal forms: each conjugate is two products of them
+    conjugators = [(w, _nf(w.inverse(), tower, top)) for w in ball]
     rigidity_witnesses: list[str] = []
     rigidity_undecided = 0
     for y in outside:
@@ -387,17 +390,16 @@ def check_conditions(
                 powers.append(_nf(y ** m, tower, top))
             except MembershipUndecided:
                 powers.append(None)
-        for w in ball:
-            winv = w.inverse()
+        for w, winv in conjugators:
             for m, y_m in enumerate(powers, start=1):
                 if y_m is None:
                     rigidity_undecided += 1
                     continue
                 try:
-                    # _member normal-forms the conjugate: one normal form per tuple
-                    if _member(w * y_m * winv, z, tower, top) is None:
+                    conjugate = _nf_product(_nf_product(w, y_m, tower, top), winv, tower, top)
+                    if _member_nf(conjugate, z, tower, top) is None:
                         continue
-                    if _member(w, z, tower, top) is None:
+                    if _member_nf(w, z, tower, top) is None:
                         bad.append(f"rigidity:{y}|{w}|{m}")
                 except MembershipUndecided:
                     rigidity_undecided += 1

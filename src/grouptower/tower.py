@@ -14,7 +14,11 @@ cyclic-subgroup membership, root extraction, commutation tests and
 centralizer balls.  A normal form takes one pass per stage: split at the top
 stable letter, normal-form the segments one stage down, remove pinches, and
 rewrite each later segment to its coset representative, right to left.
-Pinch-free words (``britton_reduce``) share that pinch loop.
+Pinch-free words (``britton_reduce``) share that pinch loop.  The normal
+form of a product of two normal forms (``_nf_product``) looks only at the
+junction: by Britton's lemma pinches occur only there, cascading outward,
+so only the junction segment is rewritten to its coset representative and
+the other segments of both factors are kept as they are.
 
 Membership in a cyclic subgroup and coset representatives are decided
 exactly.  After cyclic reduction of the generator, Britton's lemma fixes the
@@ -29,7 +33,8 @@ stages it has in common with the tower it came from, so an extension reuses
 its prefix's work.  The ``cache_info()`` of ``_reduce``, ``_nf``, ``_coset``,
 ``cyclically_reduce`` and ``minimal_root`` counts hits and misses over every
 tower so far (a call on a stage-0 word, its own result, is a miss) and
-entries over the live towers only.
+entries over the live towers only.  ``_nf_product`` is not memoized, so
+products add no entries and are counted nowhere.
 """
 from __future__ import annotations
 
@@ -347,6 +352,11 @@ def _assemble(segments: list[Word], signs: list[int], stage: int) -> Word:
     return Word(letters) if cancelled else merged_word(tuple(letters))
 
 
+def _edge(step: ExtensionStep, sign: int) -> tuple[Word, Word]:
+    """``(gen, other)`` with ``t^sign gen^k = other^k t^sign``."""
+    return (step.source, step.target) if sign > 0 else (step.target, step.source)
+
+
 def _pinch_free(word: Word, tower: ExtensionTower, s: int, leftmost: bool, rewrite) -> tuple[list[Word], list[int]]:
     """Split ``word`` at stage ``s`` and remove its pinches there, leftmost or
     rightmost first; ``rewrite`` reduces each segment with a stable letter,
@@ -368,7 +378,7 @@ def _pinch_free(word: Word, tower: ExtensionTower, s: int, leftmost: bool, rewri
                     hit = (i, IDENTITY)
                     break
             else:
-                gen, other = (step.source, step.target) if signs[i] > 0 else (step.target, step.source)
+                gen, other = _edge(step, signs[i])
                 k = _member(interior, gen, tower, s - 1)
                 if k is not None:
                     hit = (i, _power_word(other, k, tower, s - 1))
@@ -400,12 +410,95 @@ def _nf(word: Word, tower: ExtensionTower, stage: int) -> Word:
     step = tower.step(s)
     # the segments are normal forms, and a free step has no coset to rewrite
     for i in range(0 if step.is_free else len(signs), 0, -1):
-        gen, other = (step.source, step.target) if signs[i - 1] > 0 else (step.target, step.source)
+        gen, other = _edge(step, signs[i - 1])
         k, segments[i] = _coset(segments[i], gen, tower, s - 1)
         if k:  # _coset normal-forms every pushed segment but the first
             pushed = segments[i - 1] * _power_word(other, k, tower, s - 1)
             segments[i - 1] = pushed if i > 1 else _nf(pushed, tower, s - 1)
     return _assemble(segments, signs, s) if signs else segments[0]
+
+
+def _run_before(letters: tuple[Letter, ...], end: int, s: int) -> int:
+    """Index of the last ``t_s`` letter before ``end``, or -1."""
+    for i in range(end - 1, -1, -1):
+        if letters[i][1] == s and letters[i][0] == STABLE:
+            return i
+    return -1
+
+
+def _run_from(letters: tuple[Letter, ...], start: int, s: int) -> int:
+    """Index of the first ``t_s`` letter from ``start`` on, or ``len(letters)``."""
+    for j in range(start, len(letters)):
+        if letters[j][1] == s and letters[j][0] == STABLE:
+            return j
+    return len(letters)
+
+
+def _nf_product(a: Word, b: Word, tower: ExtensionTower, stage: int) -> Word:
+    """``_nf(a * b)`` for normal forms ``a`` and ``b``, from the junction.
+
+    By Britton's lemma a product of reduced words pinches only across the
+    junction.  With ``a = H t^ea A`` and ``b = B t^eb T`` at the top stage,
+    ``A`` and ``B`` free of ``t``, the pinches cancel units of the two runs
+    while the junction segment lies in the edge subgroup; a run used up
+    peels the next segment of its factor into the junction.  Every other
+    segment keeps its letters, so only the junction segment is rewritten to
+    its coset representative, and a power pushed across ``t^ea`` goes left
+    as a product with ``H t^(ea - sign)``.  Not memoized: entries keyed by
+    products would hold more memory than they save.
+    """
+    x, y = a.letters, b.letters
+    if not x:
+        return b
+    if not y:
+        return a
+    s = min(stage, max(max_stage(a), max_stage(b)))
+    if not s:
+        return a * b
+    step = tower.step(s)
+    i, j = _run_before(x, len(x), s), _run_from(y, 0, s)
+    ea = x[i][2] if i >= 0 else 0
+    eb = y[j][2] if j < len(y) else 0
+    mid = _nf_product(merged_word(x[i + 1 :]), merged_word(y[:j]), tower, s - 1)
+    # with B empty the junction is A, a coset representative: it lies in
+    # the edge subgroup only when empty, and rewriting leaves it as it is
+    settled = not j
+    while ea and eb and (ea > 0) != (eb > 0):
+        sign = 1 if ea > 0 else -1
+        if step.is_free or settled:
+            if mid:
+                break
+        else:
+            gen, other = _edge(step, sign)
+            k = _member_nf(mid, gen, tower, s - 1)
+            if k is None:
+                break
+            mid = _power_word(other, k, tower, s - 1)
+        settled = False
+        ea -= sign
+        eb += sign
+        if not ea:
+            end, i = i, _run_before(x, i, s)
+            ea = x[i][2] if i >= 0 else 0
+            mid = _nf_product(merged_word(x[i + 1 : end]), mid, tower, s - 1)
+        if not eb:
+            start, j = j + 1, _run_from(y, j + 1, s)
+            eb = y[j][2] if j < len(y) else 0
+            mid = _nf_product(mid, merged_word(y[start:j]), tower, s - 1)
+    head = x[:i] + (tuple.__new__(Letter, (STABLE, s, ea)),) if ea else ()
+    tail = (tuple.__new__(Letter, (STABLE, s, eb)),) + y[j + 1 :] if eb else ()
+    if ea and not settled and not step.is_free:
+        sign = 1 if ea > 0 else -1
+        gen, other = _edge(step, sign)
+        k, mid = _coset(mid, gen, tower, s - 1)
+        if k:
+            prefix = merged_word(x[:i] + (tuple.__new__(Letter, (STABLE, s, ea - sign)),) if ea != sign else x[:i])
+            pushed = _nf_product(prefix, _power_word(other, k, tower, s - 1), tower, s)
+            head = (pushed * stable(s, sign)).letters
+    if mid or not (ea and eb):
+        return merged_word(head + mid.letters + tail)
+    # the two runs meet across an empty segment, with one sign
+    return merged_word(head[:-1] + (tuple.__new__(Letter, (STABLE, s, head[-1][2] + eb)),) + tail[1:])
 
 
 class _PowerTable:
@@ -462,7 +555,12 @@ def _cyclic_shape(gen: Word, tower: ExtensionTower) -> tuple[Word, Word, int, in
 
 
 def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None:
-    """k with w == gen^k in the stage group, or None.
+    """k with w == gen^k in the stage group, or None."""
+    return _member_nf(_nf(w, tower, stage), gen, tower, stage)
+
+
+def _member_nf(nfw: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None:
+    """:func:`_member` for a word ``nfw`` that is a normal form already.
 
     Decided exactly: with ``gen = y c y^-1`` and ``c`` cyclically reduced
     at top stage ``s``, every power ``c^k`` is reduced with ``|k| L``
@@ -470,7 +568,6 @@ def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None
     words of one element agree on that count (Britton's lemma).  So
     ``y^-1 w y`` fixes ``k`` up to sign and two power comparisons decide.
     """
-    nfw = _nf(w, tower, stage)
     nfg = _nf(gen, tower, stage)
     if not nfg:
         raise PreconditionViolated("membership in the trivial subgroup has no generator")
@@ -541,7 +638,7 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, 
     c, y, s, length = _cyclic_shape(nfg, tower)
     b = _nf(y.inverse() * nfa, tower, stage) if y else nfa
     if s < gen_top:
-        k = _member(nfa, nfg, tower, stage)
+        k = _member_nf(nfa, nfg, tower, stage)
         if k is not None:
             return k, IDENTITY
         k, rep = _coset(b, c, tower, stage)
@@ -715,7 +812,9 @@ def minimal_root(a: Word, tower: ExtensionTower) -> tuple[Word, int]:
 
 
 def commutes(a: Word, b: Word, tower: ExtensionTower) -> bool:
-    return not nf_word(a * b * a.inverse() * b.inverse(), tower)
+    a, b = nf_word(a, tower), nf_word(b, tower)
+    top = tower.num_steps
+    return _nf_product(a, b, tower, top) == _nf_product(b, a, tower, top)
 
 
 def ball_words(tower: ExtensionTower, radius: int) -> tuple[Word, ...]:

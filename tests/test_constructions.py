@@ -203,7 +203,7 @@ class TestConditionChecks:
         y = next(
             w for w in ball if (w ** 2).unit_length > two_stage.radius and not two_stage.ledger.contains(w, tower)
         )
-        original_nf, original_member = constructions._nf, constructions._member
+        original_nf, original_member = constructions._nf, constructions._member_nf
 
         def nf_undecided_at_square(word, tower_, stage):
             if word == y ** 2:
@@ -217,7 +217,7 @@ class TestConditionChecks:
             return original_member(word, gen, tower_, stage)
 
         monkeypatch.setattr(constructions, "_nf", nf_undecided_at_square)
-        monkeypatch.setattr(constructions, "_member", recording_member)
+        monkeypatch.setattr(constructions, "_member_nf", recording_member)
         report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
         assert rows(report)["condition-rigidity"].details["undecided"] == len(ball)
         assert report.undecided == len(ball)

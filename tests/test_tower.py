@@ -454,6 +454,71 @@ def test_one_pass_normal_form_matches_reduce_first(seed, strategy):
             assert nf_word(w, tower) == nf_word(britton_reduce(w, copy, strategy), copy), f"{w} on {format_tower(tower)}"
 
 
+def product_pairs(tower, rng, count):
+    """Pairs of normal forms whose products meet every case of
+    ``_nf_product``: random pairs, cascades (``b = nf(a^-1 v)`` for a short
+    ``v``), stable runs of |exponent| >= 2 against runs of either length,
+    edge powers pushed across a run, and identity factors."""
+    pairs = []
+    for u, v in zip(random_words(tower, count, 6, rng.random()), random_words(tower, count, 2, rng.random())):
+        pairs += [(u, v), (u, nf_word(u, tower).inverse() * v), (u, W("e")), (W("e"), u)]
+        step = rng.choice(tower.steps)
+        e = rng.choice((2, 3, -2, -3))
+        sign = 1 if e > 0 else -1
+        a = u * step.letter ** e
+        pairs += [(a, step.letter ** (-sign * rng.randint(1, 4)) * v), (a, a)]
+        if not step.is_free:
+            edge = step.source if e > 0 else step.target
+            pairs.append((a, edge ** rng.choice((1, -1, 2, -3)) * v))
+    return [(nf_word(a, tower), nf_word(b, tower)) for a, b in pairs]
+
+
+@pytest.mark.parametrize("seed", [2024, 106, 111, 124, "nested", "free"])
+def test_product_normal_form_matches_normal_form_of_product(seed):
+    """_nf_product(a, b) against nf_word(a * b), the latter on a parsed copy
+    of the tower, so that neither reads the other's memo entries."""
+    if seed == "nested":
+        # _nf itself is slow on some short words of this tower (a FOUND
+        # line in CHANGES.md); this seed's words avoid them
+        rng, towers = random.Random(87), [NESTED_DISTORTION]
+    elif seed == "free":
+        rng, towers = random.Random(89), [FREEZ, MIXED, ExtensionTower(2).extend_hnn(W("g0"), W("g1^2")).extend_free()]
+    else:
+        rng = random.Random(seed)
+        towers = [random_distorted_tower(rng) for _ in range(8)]
+    for tower in towers:
+        copy = parse_tower(format_tower(tower))
+        for a, b in product_pairs(tower, rng, 30):
+            got = tower_module._nf_product(a, b, tower, tower.num_steps)
+            assert got == nf_word(a * b, copy), f"{a} | {b} on {format_tower(tower)}"
+
+
+@pytest.mark.parametrize("left, right", [("g1 t2 g0", "g1 t2 g1 t1"), ("t2^-1 g1", "g0 t1^-1 t2^2 g1")])
+def test_product_work_does_not_grow_with_the_right_factor(left, right, monkeypatch):
+    # the junction of a and b^n does not pinch: only the junction segment is
+    # rewritten, however many segments b^n has; a fresh copy of the tower
+    # per n starts each product from the same memo state
+    names = ("_split", "_member_nf", "_coset", "_nf")
+    counted = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(tower_module, name)
+
+        def counting(*args, _real=real, _name=name):
+            counted[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(tower_module, name, counting)
+    counts = []
+    for n in (1, 3, 9):
+        tower = parse_tower(format_tower(MIXED))
+        a, b = nf_word(W(left), tower), nf_word(W(right) ** n, tower)
+        counted.update(dict.fromkeys(names, 0))
+        product = tower_module._nf_product(a, b, tower, tower.num_steps)
+        counts.append(dict(counted))
+        assert product == nf_word(a * b, tower)
+    assert all(later[k] <= counts[0][k] for later in counts[1:] for k in names), counts
+
+
 # one generator per coset branch past the single-run one: the free-base scan
 # (g0 g1), the stage-1 scan and, for words with t2, the first-segment
 # recursion (t1, t1 g0), and the conjugated core g0 of t1^-1 g0 t1
@@ -598,6 +663,15 @@ class TestCommutesAndCentralizers:
 
     def test_radius_zero(self):
         assert centralizer_ball(W("g0"), FREE, 0) == {W("e")}
+
+    @pytest.mark.parametrize("tower", [FREEZ, MIXED, DISTORTED], ids=["free_z", "hnn", "distorted"])
+    def test_matches_the_commutator_reference(self, tower):
+        # commutes compares the two products; the reference normal-forms the
+        # four-factor commutator
+        ball = ball_words(tower, 2)
+        for a in ball:
+            for b in ball:
+                assert commutes(a, b, tower) == (not nf_word(a * b * a.inverse() * b.inverse(), tower)), (str(a), str(b))
 
 
 class TestTorsionFreeness:
