@@ -434,6 +434,14 @@ def _run_from(letters: tuple[Letter, ...], start: int, s: int) -> int:
     return len(letters)
 
 
+def _after_run(s: int, e: int, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """``t_s^e`` followed by ``letters``, merged with a ``t_s`` run that
+    starts them; in a pinch-free word that run has the sign of ``e``."""
+    if letters and letters[0][1] == s and letters[0][0] == STABLE:
+        return (tuple.__new__(Letter, (STABLE, s, e + letters[0][2])),) + letters[1:]
+    return (tuple.__new__(Letter, (STABLE, s, e)),) + letters
+
+
 def _nf_product(a: Word, b: Word, tower: ExtensionTower, stage: int) -> Word:
     """``_nf(a * b)`` for normal forms ``a`` and ``b``, from the junction.
 
@@ -443,9 +451,9 @@ def _nf_product(a: Word, b: Word, tower: ExtensionTower, stage: int) -> Word:
     while the junction segment lies in the edge subgroup; a run used up
     peels the next segment of its factor into the junction.  Every other
     segment keeps its letters, so only the junction segment is rewritten to
-    its coset representative, and a power pushed across ``t^ea`` goes left
-    as a product with ``H t^(ea - sign)``.  Not memoized: entries keyed by
-    products would hold more memory than they save.
+    its coset representative; a power pushed across ``t^ea`` goes left into
+    the segments of ``a``, right to left, as in :func:`_nf`.  Not memoized:
+    entries keyed by products would hold more memory than they save.
     """
     x, y = a.letters, b.letters
     if not x:
@@ -485,20 +493,24 @@ def _nf_product(a: Word, b: Word, tower: ExtensionTower, stage: int) -> Word:
             start, j = j + 1, _run_from(y, j + 1, s)
             eb = y[j][2] if j < len(y) else 0
             mid = _nf_product(mid, merged_word(y[start:j]), tower, s - 1)
-    head = x[:i] + (tuple.__new__(Letter, (STABLE, s, ea)),) if ea else ()
-    tail = (tuple.__new__(Letter, (STABLE, s, eb)),) + y[j + 1 :] if eb else ()
-    if ea and not settled and not step.is_free:
+    tail = _after_run(s, eb, y[j + 1 :]) if eb else ()
+    # right to left, as in _nf: rewrite the junction segment to its coset
+    # representative, and push the edge power across one unit of a's run
+    # into the segment on its left, which is rewritten in turn
+    while ea and not settled and not step.is_free:
         sign = 1 if ea > 0 else -1
         gen, other = _edge(step, sign)
         k, mid = _coset(mid, gen, tower, s - 1)
-        if k:
-            prefix = merged_word(x[:i] + (tuple.__new__(Letter, (STABLE, s, ea - sign)),) if ea != sign else x[:i])
-            pushed = _nf_product(prefix, _power_word(other, k, tower, s - 1), tower, s)
-            head = (pushed * stable(s, sign)).letters
-    if mid or not (ea and eb):
-        return merged_word(head + mid.letters + tail)
-    # the two runs meet across an empty segment, with one sign
-    return merged_word(head[:-1] + (tuple.__new__(Letter, (STABLE, s, head[-1][2] + eb)),) + tail[1:])
+        if not k:
+            break
+        tail = _after_run(s, sign, mid.letters + tail)
+        mid = _power_word(other, k, tower, s - 1)
+        ea -= sign
+        if not ea:
+            end, i = i, _run_before(x, i, s)
+            ea = x[i][2] if i >= 0 else 0
+            mid = _nf_product(merged_word(x[i + 1 : end]), mid, tower, s - 1)
+    return merged_word(x[:i] + _after_run(s, ea, mid.letters + tail) if ea else mid.letters + tail)
 
 
 class _PowerTable:

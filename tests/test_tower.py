@@ -493,6 +493,15 @@ def test_product_normal_form_matches_normal_form_of_product(seed):
             assert got == nf_word(a * b, copy), f"{a} | {b} on {format_tower(tower)}"
 
 
+def test_product_pushes_across_a_long_run():
+    # t1 commutes with g0, so g0 crosses each of the 2000 units in turn
+    tower = ExtensionTower(2).extend_hnn(W("g0"), W("g0"))
+    a = nf_word(W("g1 t1^2000"), tower)
+    assert tower_module._nf_product(a, W("g0"), tower, 1) == W("g1 g0 t1^2000")
+    assert not commutes(a, W("g0"), tower)
+    assert commutes(W("t1^2000"), W("g0"), tower)
+
+
 @pytest.mark.parametrize("left, right", [("g1 t2 g0", "g1 t2 g1 t1"), ("t2^-1 g1", "g0 t1^-1 t2^2 g1")])
 def test_product_work_does_not_grow_with_the_right_factor(left, right, monkeypatch):
     # the junction of a and b^n does not pinch: only the junction segment is
