@@ -68,16 +68,15 @@ def cyclic_key(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
     reduced form, so conjugates that differ by rotation share a key.
     """
     c, conj = cyclically_reduce(w, tower)
-    top = tower.num_steps
     units = c.units()
-    best = _nf(c, tower, top)
+    best = _nf(c, tower)
     carrier = conj
     for j in range(1, len(units)):
-        rotated = _nf(Word(units[j:] + units[:j]), tower, top)
+        rotated = _nf(Word(units[j:] + units[:j]), tower)
         if sort_key(rotated) < sort_key(best):
             best = rotated
             carrier = conj * Word(units[:j])
-    return best, _nf(carrier, tower, top)
+    return best, _nf(carrier, tower)
 
 
 @dataclass(frozen=True)
@@ -371,7 +370,7 @@ def check_conditions(
     outside = [y for y in ball if y and not state.ledger.contains(y, tower)]
     tuples = len(ball) * state.power_bound
     # ball words are normal forms: each conjugate is two products of them
-    conjugators = [(w, _nf(w.inverse(), tower, top)) for w in ball]
+    conjugators = [(w, _nf(w.inverse(), tower)) for w in ball]
     rigidity_witnesses: list[str] = []
     rigidity_undecided = 0
     for y in outside:
@@ -387,7 +386,7 @@ def check_conditions(
         powers: list[Word | None] = []
         for m in range(1, state.power_bound + 1):
             try:
-                powers.append(_nf(y ** m, tower, top))
+                powers.append(_nf(y ** m, tower))
             except MembershipUndecided:
                 powers.append(None)
         for w, winv in conjugators:
@@ -396,10 +395,10 @@ def check_conditions(
                     rigidity_undecided += 1
                     continue
                 try:
-                    conjugate = _nf_product(_nf_product(w, y_m, tower, top), winv, tower, top)
-                    if _member_nf(conjugate, z, tower, top) is None:
+                    conjugate = _nf_product(_nf_product(w, y_m, tower), winv, tower)
+                    if _member_nf(conjugate, z, tower) is None:
                         continue
-                    if _member_nf(w, z, tower, top) is None:
+                    if _member_nf(w, z, tower) is None:
                         bad.append(f"rigidity:{y}|{w}|{m}")
                 except MembershipUndecided:
                     rigidity_undecided += 1
@@ -429,6 +428,8 @@ def build_suite(
     and one per stage, then the condition checks on the last stage."""
     if stages < 0:
         raise ValueError("stages must be nonnegative")
+    if check_candidates < 0:
+        raise ValueError("check candidates must be nonnegative")
     report = RunReport("build", {"stages": stages, "radius": radius, "power_bound": power_bound,
                                  "g0_mode": g0_mode, "seed": seed, "check_candidates": check_candidates})
 

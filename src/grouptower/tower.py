@@ -27,7 +27,9 @@ still shorten a coset representative.  No operation here raises
 :class:`MembershipUndecided`.
 
 Every memoized result belongs to a tower: the tower holds one memo per
-stage, and dropping the tower frees its memos.  A tower made by
+stage, and dropping the tower frees its memos.  Each stage group embeds in
+the next, so the engine works at the highest stage its arguments reach and
+keeps the result in that stage's memo.  A tower made by
 ``extend_free``, ``extend_hnn`` or ``truncate`` shares the memos of the
 stages it has in common with the tower it came from, so an extension reuses
 its prefix's work.  The ``cache_info()`` of ``_reduce``, ``_nf``, ``_coset``,
@@ -64,7 +66,7 @@ BOUND_FLOOR = 16
 # entries per memo table of one stage; a full table drops its older half
 REDUCE_BOUND = NF_BOUND = 1 << 20
 COSET_BOUND = CYCLIC_BOUND = 1 << 18
-ROOT_BOUND = SHAPE_BOUND = 1 << 16
+ROOT_BOUND = 1 << 16
 
 
 class MembershipUndecided(Exception):
@@ -108,14 +110,15 @@ class ExtensionStep:
 class _StageMemo:
     """The memo tables of one tower stage, one dict each.
 
-    ``reduce``, ``nf``, ``coset`` and ``powers`` hold results that depend
-    only on the tower up to this stage, so every tower holding the memo
-    shares them.  ``shapes``, ``cyclic``, ``roots`` and ``balls`` hold the
-    results of the tower whose top stage this is.  A memo refers to no
-    tower, so it is freed as soon as the last tower holding it is.
+    ``reduce``, ``nf``, ``coset`` and ``powers`` hold the results whose
+    arguments reach this stage and no higher.  Such a result depends only on
+    the tower up to this stage, so every tower holding the memo shares it.
+    ``cyclic``, ``roots`` and ``balls`` hold the results of the tower whose
+    top stage this is.  A memo refers to no tower, so it is freed as soon as
+    the last tower holding it is.
     """
 
-    __slots__ = ("reduce", "nf", "coset", "powers", "shapes", "cyclic", "roots", "balls", "__weakref__")
+    __slots__ = ("reduce", "nf", "coset", "powers", "cyclic", "roots", "balls", "__weakref__")
 
     def __init__(self) -> None:
         for name in self.__slots__[:-1]:
@@ -163,7 +166,6 @@ class _Table:
 _REDUCE = _Table("reduce", REDUCE_BOUND)
 _NF = _Table("nf", NF_BOUND)
 _COSET = _Table("coset", COSET_BOUND)
-_SHAPES = _Table("shapes", SHAPE_BOUND)
 _CYCLIC = _Table("cyclic", CYCLIC_BOUND)
 _ROOTS = _Table("roots", ROOT_BOUND)
 # read-only views for inspection: the power tables (each with ``.words``)
@@ -203,10 +205,10 @@ def _memoized(cache: _Table, locate):
     return decorate
 
 
-def _at_stage(word: Word, tower: ExtensionTower, stage: int, *flags):
-    """The memo of the stage a call on ``word`` works at, keyed by the word
-    (with ``flags`` when there are any); None at stage 0."""
-    s = min(stage, max_stage(word))
+def _at_stage(word: Word, tower: ExtensionTower, *flags):
+    """The memo of the top stage of ``word``, keyed by the word (with
+    ``flags`` when there are any); None at stage 0."""
+    s = max_stage(word)
     return (tower._memos[s], (word, *flags) if flags else word) if s else None
 
 
@@ -270,8 +272,8 @@ class ExtensionTower:
         """Adjoin ``t source t^-1 = target``; edge words are canonicalized first."""
         self.validate_word(source)
         self.validate_word(target)
-        src = _nf(source, self, self.num_steps)
-        tgt = _nf(target, self, self.num_steps)
+        src = _nf(source, self)
+        tgt = _nf(target, self)
         if not src or not tgt:
             raise PreconditionViolated("edge words must be nonidentity")
         step = ExtensionStep(self.num_steps + 1, src, tgt)
@@ -379,9 +381,9 @@ def _pinch_free(word: Word, tower: ExtensionTower, s: int, leftmost: bool, rewri
                     break
             else:
                 gen, other = _edge(step, signs[i])
-                k = _member(interior, gen, tower, s - 1)
+                k = _member(interior, gen, tower)
                 if k is not None:
-                    hit = (i, _power_word(other, k, tower, s - 1))
+                    hit = (i, _power_word(other, k, tower))
                     break
         if hit is None:
             return segments, signs
@@ -391,30 +393,30 @@ def _pinch_free(word: Word, tower: ExtensionTower, s: int, leftmost: bool, rewri
 
 
 @_memoized(_REDUCE, _at_stage)
-def _reduce(word: Word, tower: ExtensionTower, stage: int, leftmost: bool) -> Word:
-    """Eliminate pinches and stable-letter cancellations at stages <= stage."""
-    s = min(stage, max_stage(word))  # >= 1: the memo returns stage-0 words
-    segments, signs = _pinch_free(word, tower, s, leftmost, lambda seg: _reduce(seg, tower, s - 1, leftmost))
+def _reduce(word: Word, tower: ExtensionTower, leftmost: bool) -> Word:
+    """Eliminate pinches and stable-letter cancellations."""
+    s = max_stage(word)  # >= 1: the memo returns stage-0 words
+    segments, signs = _pinch_free(word, tower, s, leftmost, lambda seg: _reduce(seg, tower, leftmost))
     return _assemble(segments, signs, s) if signs else segments[0]
 
 
 @_memoized(_NF, _at_stage)
-def _nf(word: Word, tower: ExtensionTower, stage: int) -> Word:
+def _nf(word: Word, tower: ExtensionTower) -> Word:
     """Canonical form in one pass: split at the top stage, normal-form the
     segments one stage down and remove pinches, then rewrite each post-letter
     segment to its coset-transversal representative, pushing the cyclic part
     across the stable letter (right to left, so pushes land before
     decomposition)."""
-    s = min(stage, max_stage(word))  # >= 1: the memo returns stage-0 words
-    segments, signs = _pinch_free(word, tower, s, True, lambda seg: _nf(seg, tower, s - 1))
+    s = max_stage(word)  # >= 1: the memo returns stage-0 words
+    segments, signs = _pinch_free(word, tower, s, True, lambda seg: _nf(seg, tower))
     step = tower.step(s)
     # the segments are normal forms, and a free step has no coset to rewrite
     for i in range(0 if step.is_free else len(signs), 0, -1):
         gen, other = _edge(step, signs[i - 1])
-        k, segments[i] = _coset(segments[i], gen, tower, s - 1)
+        k, segments[i] = _coset(segments[i], gen, tower)
         if k:  # _coset normal-forms every pushed segment but the first
-            pushed = segments[i - 1] * _power_word(other, k, tower, s - 1)
-            segments[i - 1] = pushed if i > 1 else _nf(pushed, tower, s - 1)
+            pushed = segments[i - 1] * _power_word(other, k, tower)
+            segments[i - 1] = pushed if i > 1 else _nf(pushed, tower)
     return _assemble(segments, signs, s) if signs else segments[0]
 
 
@@ -442,7 +444,7 @@ def _after_run(s: int, e: int, letters: tuple[Letter, ...]) -> tuple[Letter, ...
     return (tuple.__new__(Letter, (STABLE, s, e)),) + letters
 
 
-def _nf_product(a: Word, b: Word, tower: ExtensionTower, stage: int) -> Word:
+def _nf_product(a: Word, b: Word, tower: ExtensionTower) -> Word:
     """``_nf(a * b)`` for normal forms ``a`` and ``b``, from the junction.
 
     By Britton's lemma a product of reduced words pinches only across the
@@ -460,14 +462,14 @@ def _nf_product(a: Word, b: Word, tower: ExtensionTower, stage: int) -> Word:
         return b
     if not y:
         return a
-    s = min(stage, max(max_stage(a), max_stage(b)))
+    s = max(max_stage(a), max_stage(b))
     if not s:
         return a * b
     step = tower.step(s)
     i, j = _run_before(x, len(x), s), _run_from(y, 0, s)
     ea = x[i][2] if i >= 0 else 0
     eb = y[j][2] if j < len(y) else 0
-    mid = _nf_product(merged_word(x[i + 1 :]), merged_word(y[:j]), tower, s - 1)
+    mid = _nf_product(merged_word(x[i + 1 :]), merged_word(y[:j]), tower)
     # with B empty the junction is A, a coset representative: it lies in
     # the edge subgroup only when empty, and rewriting leaves it as it is
     settled = not j
@@ -478,21 +480,21 @@ def _nf_product(a: Word, b: Word, tower: ExtensionTower, stage: int) -> Word:
                 break
         else:
             gen, other = _edge(step, sign)
-            k = _member_nf(mid, gen, tower, s - 1)
+            k = _member_nf(mid, gen, tower)
             if k is None:
                 break
-            mid = _power_word(other, k, tower, s - 1)
+            mid = _power_word(other, k, tower)
         settled = False
         ea -= sign
         eb += sign
         if not ea:
             end, i = i, _run_before(x, i, s)
             ea = x[i][2] if i >= 0 else 0
-            mid = _nf_product(merged_word(x[i + 1 : end]), mid, tower, s - 1)
+            mid = _nf_product(merged_word(x[i + 1 : end]), mid, tower)
         if not eb:
             start, j = j + 1, _run_from(y, j + 1, s)
             eb = y[j][2] if j < len(y) else 0
-            mid = _nf_product(mid, merged_word(y[start:j]), tower, s - 1)
+            mid = _nf_product(mid, merged_word(y[start:j]), tower)
     tail = _after_run(s, eb, y[j + 1 :]) if eb else ()
     # right to left, as in _nf: rewrite the junction segment to its coset
     # representative, and push the edge power across one unit of a's run
@@ -500,27 +502,26 @@ def _nf_product(a: Word, b: Word, tower: ExtensionTower, stage: int) -> Word:
     while ea and not settled and not step.is_free:
         sign = 1 if ea > 0 else -1
         gen, other = _edge(step, sign)
-        k, mid = _coset(mid, gen, tower, s - 1)
+        k, mid = _coset(mid, gen, tower)
         if not k:
             break
         tail = _after_run(s, sign, mid.letters + tail)
-        mid = _power_word(other, k, tower, s - 1)
+        mid = _power_word(other, k, tower)
         ea -= sign
         if not ea:
             end, i = i, _run_before(x, i, s)
             ea = x[i][2] if i >= 0 else 0
-            mid = _nf_product(merged_word(x[i + 1 : end]), mid, tower, s - 1)
+            mid = _nf_product(merged_word(x[i + 1 : end]), mid, tower)
     return merged_word(x[:i] + _after_run(s, ea, mid.letters + tail) if ea else mid.letters + tail)
 
 
 class _PowerTable:
     """Lazily extended cache of the normal forms of powers of one word."""
 
-    __slots__ = ("stage", "words")
+    __slots__ = ("words",)
 
-    def __init__(self, base: Word, tower: ExtensionTower, stage: int):
-        self.stage = stage
-        self.words = {0: IDENTITY, 1: base, -1: _nf(base.inverse(), tower, stage)}
+    def __init__(self, base: Word, tower: ExtensionTower):
+        self.words = {0: IDENTITY, 1: base, -1: _nf(base.inverse(), tower)}
 
     def power(self, k: int, tower: ExtensionTower) -> Word:
         # halving keeps the work logarithmic in |k|: exact cosets push the
@@ -528,26 +529,26 @@ class _PowerTable:
         words = self.words
         if k not in words:
             half = k // 2
-            words[k] = _nf(self.power(half, tower) * self.power(k - half, tower), tower, self.stage)
+            words[k] = _nf(self.power(half, tower) * self.power(k - half, tower), tower)
         return words[k]
 
 
-def _table(base: Word, tower: ExtensionTower, stage: int) -> _PowerTable:
-    tables = tower._memos[stage].powers
+def _table(base: Word, tower: ExtensionTower) -> _PowerTable:
+    tables = tower._memos[max_stage(base)].powers
     table = tables.get(base)
     if table is None:
-        table = tables[base] = _PowerTable(base, tower, stage)
+        table = tables[base] = _PowerTable(base, tower)
     return table
 
 
-def _power_word(base: Word, k: int, tower: ExtensionTower, stage: int) -> Word:
+def _power_word(base: Word, k: int, tower: ExtensionTower) -> Word:
     if k == 0:
         return IDENTITY
-    nfb = _nf(base, tower, stage)
+    nfb = _nf(base, tower)
     if len(nfb.letters) == 1:
         lt = nfb.letters[0]
         return merged_word((Letter(lt.kind, lt.index, lt.exponent * k),))
-    return _table(nfb, tower, stage).power(k, tower)
+    return _table(nfb, tower).power(k, tower)
 
 
 def _stage_length(w: Word, stage: int) -> int:
@@ -557,21 +558,12 @@ def _stage_length(w: Word, stage: int) -> int:
     return sum(abs(lt[2]) for lt in w.letters if lt[0] == STABLE and lt[1] == stage)
 
 
-@_memoized(_SHAPES, _at_top)
-def _cyclic_shape(gen: Word, tower: ExtensionTower) -> tuple[Word, Word, int, int]:
-    """``(c, y, s, L)`` with ``gen = y c y^-1``, ``c`` cyclically reduced,
-    ``s`` the top stage of ``c`` and ``L`` its stage length."""
-    c, y = cyclically_reduce(gen, tower)
-    s = max_stage(c)
-    return c, y, s, _stage_length(c, s)
+def _member(w: Word, gen: Word, tower: ExtensionTower) -> int | None:
+    """k with w == gen^k, or None."""
+    return _member_nf(_nf(w, tower), gen, tower)
 
 
-def _member(w: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None:
-    """k with w == gen^k in the stage group, or None."""
-    return _member_nf(_nf(w, tower, stage), gen, tower, stage)
-
-
-def _member_nf(nfw: Word, gen: Word, tower: ExtensionTower, stage: int) -> int | None:
+def _member_nf(nfw: Word, gen: Word, tower: ExtensionTower) -> int | None:
     """:func:`_member` for a word ``nfw`` that is a normal form already.
 
     Decided exactly: with ``gen = y c y^-1`` and ``c`` cyclically reduced
@@ -580,7 +572,7 @@ def _member_nf(nfw: Word, gen: Word, tower: ExtensionTower, stage: int) -> int |
     words of one element agree on that count (Britton's lemma).  So
     ``y^-1 w y`` fixes ``k`` up to sign and two power comparisons decide.
     """
-    nfg = _nf(gen, tower, stage)
+    nfg = _nf(gen, tower)
     if not nfg:
         raise PreconditionViolated("membership in the trivial subgroup has no generator")
     if not nfw:
@@ -594,21 +586,22 @@ def _member_nf(nfw: Word, gen: Word, tower: ExtensionTower, stage: int) -> int |
         if wlt.symbol != glt.symbol or wlt.exponent % glt.exponent:
             return None
         return wlt.exponent // glt.exponent
-    c, y, s, length = _cyclic_shape(nfg, tower)
-    v = _nf(y.inverse() * nfw * y, tower, stage) if y else nfw
+    c, y = cyclically_reduce(nfg, tower)
+    s = max_stage(c)
+    v = _nf(y.inverse() * nfw * y, tower) if y else nfw
     if max_stage(v) > s:
         return None
-    k, rest = divmod(_stage_length(v, s), length)
+    k, rest = divmod(_stage_length(v, s), _stage_length(c, s))
     if rest or not k:
         return None
     for cand in (k, -k):
-        if _power_word(c, cand, tower, stage) == v:
+        if _power_word(c, cand, tower) == v:
             return cand
     return None
 
 
-@_memoized(_COSET, lambda a, gen, tower, stage: (tower._memos[stage], (a, gen)))
-def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, Word]:
+@_memoized(_COSET, lambda a, gen, tower: (tower._memos[max(max_stage(a), max_stage(gen))], (a, gen)))
+def _coset(a: Word, gen: Word, tower: ExtensionTower) -> tuple[int, Word]:
     """Decompose ``a = gen^k * rep`` with ``rep`` depending only on the right
     coset <gen>*a, so normal forms built from it are canonical.
 
@@ -621,8 +614,8 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, 
     until Britton's lemma puts every further candidate above the best, and
     ``rep`` is that minimum.
     """
-    nfa = _nf(a, tower, stage)
-    nfg = _nf(gen, tower, stage)
+    nfa = _nf(a, tower)
+    nfg = _nf(gen, tower)
     if not nfg:
         raise PreconditionViolated("coset decomposition needs a nonidentity generator")
     glt = nfg.letters[0]
@@ -645,16 +638,17 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, 
         # the later segments of a normal form are coset representatives
         # already, so nothing is pushed into them
         segments, signs = _split(nfa, top)
-        k, segments[0] = _coset(segments[0], nfg, tower, top - 1)
+        k, segments[0] = _coset(segments[0], nfg, tower)
         return k, _assemble(segments, signs, top)
-    c, y, s, length = _cyclic_shape(nfg, tower)
-    b = _nf(y.inverse() * nfa, tower, stage) if y else nfa
+    c, y = cyclically_reduce(nfg, tower)
+    s = max_stage(c)
+    b = _nf(y.inverse() * nfa, tower) if y else nfa
     if s < gen_top:
-        k = _member_nf(nfa, nfg, tower, stage)
+        k = _member_nf(nfa, nfg, tower)
         if k is not None:
             return k, IDENTITY
-        k, rep = _coset(b, c, tower, stage)
-        return k, _nf(y * rep, tower, stage)
+        k, rep = _coset(b, c, tower)
+        return k, _nf(y * rep, tower)
     # gen^-k a = y c^-k b, and a pinch at either junction removes one t_s
     # (one unit when s == 0) from each side, so every reduced form keeps at
     # least |k| L - n_s(y) - n_s(b) of them.  When z = nf(c^-m b) keeps the
@@ -662,17 +656,17 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower, stage: int) -> tuple[int, 
     # (|k| - m) L > n_s(y) keeps y's pinches inside c^-(k-m), nf(gen^-k a)
     # keeps (|k| - m) L - n_s(y) of them and ends in z from that t_s (unit)
     # on, tail + m L more units.  Past these bounds no candidate wins
-    ny, nb = _stage_length(y, s), _stage_length(b, s)
+    ny, nb, length = _stage_length(y, s), _stage_length(b, s), _stage_length(c, s)
     best_k, best, best_key = 0, nfa, sort_key(nfa)
     for side in (1, -1):
         for m in (1, nb // length + 1):
-            z = _nf(_power_word(c, -side * m, tower, stage) * b, tower, stage)
+            z = _nf(_power_word(c, -side * m, tower) * b, tower)
             if nb - _stage_length(z, s) < m * length:
                 break
         tail = z.unit_length - (_split(z, s)[0][0].unit_length if s else 0) - m * length
         k = side
         while abs(k) * length - ny + (tail if abs(k) > m + ny // length else -nb) <= best.unit_length:
-            cand = _nf(_power_word(nfg, -k, tower, stage) * nfa, tower, stage)
+            cand = _nf(_power_word(nfg, -k, tower) * nfa, tower)
             key = sort_key(cand)
             if key < best_key:
                 best_k, best, best_key = k, cand, key
@@ -690,14 +684,14 @@ def britton_reduce(w: Word, tower: ExtensionTower, strategy: str = "leftmost") -
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     tower.validate_word(w)
-    return _reduce(w, tower, tower.num_steps, strategy == "leftmost")
+    return _reduce(w, tower, strategy == "leftmost")
 
 
 def nf_word(w: Word, tower: ExtensionTower) -> Word:
     """Canonical representative; two words are equal in the group iff their
     normal forms are identical."""
     tower.validate_word(w)
-    return _nf(w, tower, tower.num_steps)
+    return _nf(w, tower)
 
 
 def equal(u: Word, v: Word, tower: ExtensionTower) -> bool:
@@ -708,13 +702,13 @@ def in_cyclic(w: Word, g: Word, tower: ExtensionTower) -> int | None:
     """k with ``w == g^k``, or None when ``w`` is no power of ``g``; exact."""
     tower.validate_word(w)
     tower.validate_word(g)
-    return _member(w, g, tower, tower.num_steps)
+    return _member(w, g, tower)
 
 
 def coset_rep(a: Word, generator: Word, tower: ExtensionTower) -> tuple[int, Word]:
     tower.validate_word(a)
     tower.validate_word(generator)
-    return _coset(a, generator, tower, tower.num_steps)
+    return _coset(a, generator, tower)
 
 
 @_memoized(_CYCLIC, _at_top)
@@ -726,8 +720,7 @@ def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
     stage-count measure, so this terminates.
     """
     tower.validate_word(w)
-    top = tower.num_steps
-    c = _reduce(w, tower, top, True)
+    c = _reduce(w, tower, True)
     conj = IDENTITY
     changed = True
     while changed:
@@ -735,14 +728,14 @@ def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
         units = c.units()
         for j in range(1, len(units)):
             rotated = Word(units[j:] + units[:j])
-            red = _reduce(rotated, tower, top, True)
+            red = _reduce(rotated, tower, True)
             # rotation may already cancel at the wrap when re-merged
             if rotated.unit_length < c.unit_length or red != rotated:
                 conj = conj * Word(units[:j])
                 c = red
                 changed = True
                 break
-    return c, _nf(conj, tower, top)
+    return c, _nf(conj, tower)
 
 
 def is_conjugate_into_base(w: Word, tower: ExtensionTower) -> bool:
@@ -796,10 +789,10 @@ def minimal_root(a: Word, tower: ExtensionTower) -> tuple[Word, int]:
     first = next(i for i, lt in enumerate(units) if lt.kind == STABLE and lt.index == s)
     prefix = Word(units[:first])
     body = Word(units[first:] + units[:first])
-    conj = _nf(conj * prefix, tower, tower.num_steps)
+    conj = _nf(conj * prefix, tower)
     segments, signs = _split(body, s)
     count = len(signs)
-    target = _nf(body, tower, tower.num_steps)
+    target = _nf(body, tower)
     step = tower.step(s)
     limit = body.unit_length + BOUND_FLOOR
     for degree in range(count, 1, -1):
@@ -813,20 +806,19 @@ def minimal_root(a: Word, tower: ExtensionTower) -> tuple[Word, int]:
             edge = step.target if signs[k % count] > 0 else step.source
             twists = [IDENTITY]
             for m in range(1, limit + 1):
-                twists.append(_power_word(edge, m, tower, s - 1))
-                twists.append(_power_word(edge, -m, tower, s - 1))
+                twists.append(_power_word(edge, m, tower))
+                twists.append(_power_word(edge, -m, tower))
         for twist in twists:
             cand = head * twist
-            if _nf(cand ** degree, tower, tower.num_steps) == target:
-                root = _nf(conj * cand * conj.inverse(), tower, tower.num_steps)
+            if _nf(cand ** degree, tower) == target:
+                root = _nf(conj * cand * conj.inverse(), tower)
                 return root, degree
-    return _nf(a, tower, tower.num_steps), 1
+    return _nf(a, tower), 1
 
 
 def commutes(a: Word, b: Word, tower: ExtensionTower) -> bool:
     a, b = nf_word(a, tower), nf_word(b, tower)
-    top = tower.num_steps
-    return _nf_product(a, b, tower, top) == _nf_product(b, a, tower, top)
+    return _nf_product(a, b, tower) == _nf_product(b, a, tower)
 
 
 def ball_words(tower: ExtensionTower, radius: int) -> tuple[Word, ...]:
@@ -837,7 +829,6 @@ def ball_words(tower: ExtensionTower, radius: int) -> tuple[Word, ...]:
     cached = balls.get(radius)
     if cached is not None:
         return cached
-    stage = tower.num_steps
     units = tower.alphabet()
     seen = {IDENTITY}
     frontier = [IDENTITY]
@@ -845,7 +836,7 @@ def ball_words(tower: ExtensionTower, radius: int) -> tuple[Word, ...]:
         fresh = []
         for w in frontier:
             for u in units:
-                v = _nf(w * u, tower, stage)
+                v = _nf(w * u, tower)
                 if v not in seen:
                     seen.add(v)
                     fresh.append(v)

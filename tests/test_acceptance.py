@@ -102,6 +102,9 @@ def test_criterion_4_tower_conditions(six_stage, six_stage_report):
     # growth of the last stage, (ii) progress: nondecreasing seed-ball
     # fraction, (iii) centralizers and (iv) rigidity: zero counterexamples
     assert all(c.verdict in ("ok", "pass") for c in report.checks), report.to_text()
+    assert [c.check_id for c in report.checks[-4:]] == [
+        "condition-growth", "condition-centralizers", "condition-rigidity", "condition-progress"
+    ]
     rows = {c.check_id: c.details for c in report.checks}
     centralizers, rigidity = rows["condition-centralizers"], rows["condition-rigidity"]
     # at least 10^3 candidates per centralizer element

@@ -489,7 +489,7 @@ def test_product_normal_form_matches_normal_form_of_product(seed):
     for tower in towers:
         copy = parse_tower(format_tower(tower))
         for a, b in product_pairs(tower, rng, 30):
-            got = tower_module._nf_product(a, b, tower, tower.num_steps)
+            got = tower_module._nf_product(a, b, tower)
             assert got == nf_word(a * b, copy), f"{a} | {b} on {format_tower(tower)}"
 
 
@@ -497,7 +497,7 @@ def test_product_pushes_across_a_long_run():
     # t1 commutes with g0, so g0 crosses each of the 2000 units in turn
     tower = ExtensionTower(2).extend_hnn(W("g0"), W("g0"))
     a = nf_word(W("g1 t1^2000"), tower)
-    assert tower_module._nf_product(a, W("g0"), tower, 1) == W("g1 g0 t1^2000")
+    assert tower_module._nf_product(a, W("g0"), tower) == W("g1 g0 t1^2000")
     assert not commutes(a, W("g0"), tower)
     assert commutes(W("t1^2000"), W("g0"), tower)
 
@@ -522,7 +522,7 @@ def test_product_work_does_not_grow_with_the_right_factor(left, right, monkeypat
         tower = parse_tower(format_tower(MIXED))
         a, b = nf_word(W(left), tower), nf_word(W(right) ** n, tower)
         counted.update(dict.fromkeys(names, 0))
-        product = tower_module._nf_product(a, b, tower, tower.num_steps)
+        product = tower_module._nf_product(a, b, tower)
         counts.append(dict(counted))
         assert product == nf_word(a * b, tower)
     assert all(later[k] <= counts[0][k] for later in counts[1:] for k in names), counts
@@ -772,6 +772,27 @@ class TestCacheOwnership:
         assert [nf_word(w, extended.truncate(1)) for w in words] == forms
         assert tower_module._nf.cache_info().misses == misses
 
+    def test_an_extension_reuses_its_prefix_coset_entries(self):
+        # t1 and t2 have one edge, so t2^-1 u rewrites the base word u over
+        # the same base subgroup as t1^-1 u; the entry lives in the memo of
+        # the stage its arguments reach, stage 0, which both towers hold
+        first = ExtensionTower(2).extend_hnn(W("g0 g1"), W("g1 g0"))
+        second = first.extend_hnn(W("g0 g1"), W("g1 g0"))
+        words = random_words(FREE, 40, 6, seed=67)
+        forms = [str(nf_word(W("t1^-1") * u, first)) for u in words]
+        misses = tower_module._coset.cache_info().misses
+        assert [str(nf_word(W("t2^-1") * u, second)) for u in words] == [f.replace("t1", "t2") for f in forms]
+        assert tower_module._coset.cache_info().misses == misses
+
+    def test_siblings_keep_their_own_power_tables(self):
+        # g1 t1 is a normal form in both extensions of one base, but its
+        # square is not: its power table belongs to stage 1, which each
+        # extension holds alone
+        base = ExtensionTower(2)
+        g = W("g1 t1")
+        for tower in (base.extend_hnn(W("g1"), W("g0")), base.extend_hnn(W("g0"), W("g1"))):
+            assert tower_module._power_word(g, 2, tower) == nf_word(g ** 2, parse_tower(format_tower(tower)))
+
     def test_normal_forms_do_not_go_through_britton_reduction(self):
         # single base runs as edge words: membership, cosets and powers are
         # exact arithmetic, so no cyclic reduction calls _reduce either
@@ -801,6 +822,32 @@ def test_normal_forms_do_not_depend_on_query_history(seed):
         forms = [nf_word(w, warm) for w in words]
         fresh = parse_tower(format_tower(warm))
         assert [nf_word(w, fresh) for w in reversed(words)] == forms[::-1], format_tower(warm)
+
+
+@pytest.mark.parametrize("seed", [2024, 106, 111, 124])
+def test_results_depend_only_on_the_prefix_tower(seed):
+    # a result is that of the tower cut at the top stage its arguments
+    # reach: the parsed copy of that prefix starts with fresh memos, and a
+    # sibling sharing the full tower's lower memos must read none of its
+    # entries for words with the top stable letter
+    rng = random.Random(seed)
+    for _ in range(20):
+        tower = random_distorted_tower(rng)
+        top = tower.num_steps
+        prefixes = [parse_tower(format_tower(tower.truncate(s))) for s in range(top + 1)]
+        sibling = tower.truncate(top - 1).extend_hnn(W("g0"), W("g1"))
+        fresh_sibling = parse_tower(format_tower(sibling))
+        words = [w for s in range(top + 1) for w in random_words(tower.truncate(s), 6, 6, rng.random())]
+        gens = [step.source for step in tower.steps if not step.is_free]
+        gens += [g for g in random_words(tower, 4, 3, rng.random()) if nf_word(g, tower) and nf_word(g, sibling)]
+        for w in words:
+            assert nf_word(w, tower) == nf_word(w, prefixes[max_stage(w)]), (format_tower(tower), str(w))
+            assert nf_word(w, sibling) == nf_word(w, fresh_sibling), (format_tower(sibling), str(w))
+        for a in words[::3]:
+            for g in gens:
+                s = max(max_stage(a), max_stage(g))
+                assert coset_rep(a, g, tower) == coset_rep(a, g, prefixes[s]), (format_tower(tower), str(a), str(g))
+                assert coset_rep(a, g, sibling) == coset_rep(a, g, fresh_sibling), (format_tower(sibling), str(a), str(g))
 
 
 @given(data=st.data())
