@@ -25,22 +25,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 
+from .oracles import _scan
 from .report import CheckResult, RunReport
 from .words import IDENTITY, Word, generator, max_stage, parse_word, sort_key, stable
 from .tower import (
     ExtensionTower,
     MembershipUndecided,
     PreconditionViolated,
-    _free_root,
     _member_nf,
     _nf,
     _nf_product,
     ball_words,
     commutes,
     cyclically_reduce,
-    minimal_root,
     nf_word,
+    root_witness,
 )
 
 
@@ -161,18 +162,6 @@ def _ledger_fractions(state: ConstructionState) -> tuple[float, float]:
     return (in_seed / len(seed) if seed else 1.0, in_cur / len(cur) if cur else 1.0)
 
 
-def root_witness(y: Word, tower: ExtensionTower) -> Word:
-    """Minimal root of ``y`` transported back through its cyclic conjugator."""
-    c, conj = cyclically_reduce(y, tower)
-    if not c:
-        raise PreconditionViolated("the identity has no root witness")
-    if max_stage(c) == 0:
-        base, _ = _free_root(c)
-        return nf_word(conj * base * conj.inverse(), tower)
-    root, _ = minimal_root(y, tower)
-    return root
-
-
 def z_witness(y: Word, state: ConstructionState) -> Word:
     """The stable conjugation target for ``y``: its minimal root, recorded on
     first sight and reused afterwards."""
@@ -224,6 +213,8 @@ def initial_state(radius: int = 2, power_bound: int = 4, g0_mode: str = "free") 
         raise ValueError(f"unknown g0 mode {g0_mode!r}")
     if power_bound < 1:
         raise ValueError("power bound must be at least 1")
+    if radius < 1:
+        raise ValueError("radius must be at least 1, or the condition checks test no element")
     tower = ExtensionTower(2)
     if g0_mode == "classical":
         tower = classical_step(classical_state(), 1).tower
@@ -338,10 +329,11 @@ def check_conditions(
     elements gain no centralizing element involving the newest letter.
     Rigidity: for non-ledger ball elements y with witness z, any conjugate
     ``w y^m w^-1`` landing in <z> forces w into <z>.  Progress: the fraction
-    of the seed ball certified conjugate to x never decreases.  The word
-    calculus decides every tuple; one whose test raised
-    ``MembershipUndecided`` would count as undecided, never silently dropped.
-    Each row keeps up to four counterexamples per element as witnesses.
+    of the seed ball certified conjugate to x never decreases.  The two
+    probe rows run one :func:`oracles._scan` per element.  The word calculus
+    decides every tuple; one whose test raised ``MembershipUndecided`` would
+    count as undecided, never silently dropped.  Each row keeps up to four
+    counterexamples per element as witnesses.
     """
     if state.stage < 1:
         raise PreconditionViolated("condition checks need at least one step")
@@ -353,21 +345,31 @@ def check_conditions(
 
     ball = ball_words(tower, state.radius)
     pool = _candidate_pool(state, min_centralizer_candidates, seed)
+    in_ledger = {y: state.ledger.contains(y, tower) for y in ball if y}
+    ledger_ball = [y for y, known in in_ledger.items() if known]
+    outside = [y for y, known in in_ledger.items() if not known]
 
-    ledger_ball = [y for y in ball if y and state.ledger.contains(y, tower)]
+    def escapes(y: Word, k: Word) -> bool | None:
+        """Premise: normal form ``k`` involves the newest letter.  Conclusion: ``k y != y k``."""
+        if max_stage(k) != top:
+            return None
+        return not commutes(k, y, tower)
+
+    def rigid(z: Word, w: Word, winv: Word, m: int, y_m: Word | None) -> bool | None:
+        """Premise: ``w y^m w^-1`` lies in <z>.  Conclusion: so does ``w``."""
+        if y_m is None:
+            raise MembershipUndecided(f"power {m} has no normal form")
+        if _member_nf(_nf_product(_nf_product(w, y_m, tower), winv, tower), z, tower) is None:
+            return None
+        return _member_nf(w, z, tower) is not None
+
     centralizer_witnesses: list[str] = []
     centralizer_undecided = 0
     for y in ledger_ball:
-        bad: list[str] = []
-        for k in pool:
-            try:
-                if commutes(k, y, tower) and max_stage(nf_word(k, tower)) == top:
-                    bad.append(f"centralizer:{y}:{k}")
-            except MembershipUndecided:
-                centralizer_undecided += 1
-        centralizer_witnesses.extend(bad[:4])
+        verdict = _scan("condition-centralizers", ((k,) for k in pool), partial(escapes, y))
+        centralizer_witnesses += [f"centralizer:{y}:{k}" for k, in verdict.witnesses[:4]]
+        centralizer_undecided += verdict.undecided
 
-    outside = [y for y in ball if y and not state.ledger.contains(y, tower)]
     tuples = len(ball) * state.power_bound
     # ball words are normal forms: each conjugate is two products of them
     conjugators = [(w, _nf(w.inverse(), tower)) for w in ball]
@@ -380,7 +382,6 @@ def check_conditions(
             # without a witness every tuple of y is undecided
             rigidity_undecided += tuples
             continue
-        bad = []
         # one normal form per power; None marks an undecided power, whose
         # len(ball) tuples are all undecided
         powers: list[Word | None] = []
@@ -389,20 +390,10 @@ def check_conditions(
                 powers.append(_nf(y ** m, tower))
             except MembershipUndecided:
                 powers.append(None)
-        for w, winv in conjugators:
-            for m, y_m in enumerate(powers, start=1):
-                if y_m is None:
-                    rigidity_undecided += 1
-                    continue
-                try:
-                    conjugate = _nf_product(_nf_product(w, y_m, tower), winv, tower)
-                    if _member_nf(conjugate, z, tower) is None:
-                        continue
-                    if _member_nf(w, z, tower) is None:
-                        bad.append(f"rigidity:{y}|{w}|{m}")
-                except MembershipUndecided:
-                    rigidity_undecided += 1
-        rigidity_witnesses.extend(bad[:4])
+        stream = ((w, winv, m, y_m) for w, winv in conjugators for m, y_m in enumerate(powers, start=1))
+        verdict = _scan("condition-rigidity", stream, partial(rigid, z))
+        rigidity_witnesses += [f"rigidity:{y}|{w}|{m}" for w, _, m, _ in verdict.witnesses[:4]]
+        rigidity_undecided += verdict.undecided
 
     seed_fracs = [f[0] for f in state.fractions]
     progress_pass = all(a <= b + 1e-12 for a, b in zip(seed_fracs, seed_fracs[1:]))

@@ -447,6 +447,9 @@ def minstruct_suite(bound: int, support_bound: int, embed_bound: int) -> RunRepo
     for name, value in (("bound", bound), ("support bound", support_bound), ("embed bound", embed_bound)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, or its checks test nothing")
+    # a bound one mode's domain cannot hold fails before any suite runs
+    for mode in (OMEGA, MODE_I):
+        domain_points(mode, bound)
     report = RunReport(
         "minstruct", {"bound": bound, "support_bound": support_bound, "embed_bound": embed_bound}
     )

@@ -31,8 +31,8 @@ from .tower import (
     is_conjugate_into_base,
     minimal_root,
     nf_word,
+    root_witness,
 )
-from .constructions import root_witness
 
 MAX_RADIUS = 6
 # all tuples are enumerated when the full product is at most this size
@@ -238,24 +238,25 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
 
     Both scans read one commutation table, so each commutator of two ball
     elements is normal-formed once per scan: ``[v, u]`` is ``[u, v]^-1``,
-    so one order answers for both.  The word calculus decides every
-    commutation; should a test raise ``MembershipUndecided`` in both orders,
-    every lookup of that pair raises, as an uncached test would.
+    so a pair's first answer is stored under both orders.  The word calculus
+    decides every commutation; should a test raise ``MembershipUndecided`` in
+    both orders, every lookup of that pair raises, as an uncached test would.
     """
     ball = enumerate_ball(spec, tower)
     table: dict[tuple[Word, Word], bool] = {}
 
     def commuting(u: Word, v: Word) -> bool:
-        key = (v, u) if (v, u) in table else (u, v)
-        if key not in table:
+        answer = table.get((u, v))
+        if answer is None:
             try:
-                table[key] = commutes(*key, tower)
+                answer = commutes(u, v, tower)
             except MembershipUndecided:
-                table[key] = commutes(*key[::-1], tower)
-        return table[key]
+                answer = commutes(v, u, tower)
+            table[u, v] = table[v, u] = answer
+        return answer
 
     def centralized(w: Word, c: Word, a: Word) -> bool | None:
-        if not commuting(w, c) or not commuting(a, w) or not commuting(a, c):
+        if not commuting(a, w) or not commuting(a, c):
             return None
         return _shared_root(tower, w, c, a)
 

@@ -33,10 +33,10 @@ keeps the result in that stage's memo.  A tower made by
 ``extend_free``, ``extend_hnn`` or ``truncate`` shares the memos of the
 stages it has in common with the tower it came from, so an extension reuses
 its prefix's work.  The ``cache_info()`` of ``_reduce``, ``_nf``, ``_coset``,
-``cyclically_reduce`` and ``minimal_root`` counts hits and misses over every
-tower so far (a call on a stage-0 word, its own result, is a miss) and
-entries over the live towers only.  ``_nf_product`` is not memoized, so
-products add no entries and are counted nowhere.
+``_table``, ``cyclically_reduce``, ``minimal_root`` and ``ball_words`` counts
+hits and misses over every tower so far (a call on a stage-0 word, its own
+result, is a miss) and entries over the live towers only.  ``_nf_product``
+is not memoized, so products add no entries and are counted nowhere.
 """
 from __future__ import annotations
 
@@ -168,8 +168,7 @@ _NF = _Table("nf", NF_BOUND)
 _COSET = _Table("coset", COSET_BOUND)
 _CYCLIC = _Table("cyclic", CYCLIC_BOUND)
 _ROOTS = _Table("roots", ROOT_BOUND)
-# read-only views for inspection: the power tables (each with ``.words``)
-# and the enumerated balls of the live towers
+# the power tables (each with ``.words``) and the enumerated balls
 _power_tables = _Table("powers")
 _ball_cache = _Table("balls")
 
@@ -533,12 +532,9 @@ class _PowerTable:
         return words[k]
 
 
+@_memoized(_power_tables, lambda base, tower: (tower._memos[max_stage(base)], base))
 def _table(base: Word, tower: ExtensionTower) -> _PowerTable:
-    tables = tower._memos[max_stage(base)].powers
-    table = tables.get(base)
-    if table is None:
-        table = tables[base] = _PowerTable(base, tower)
-    return table
+    return _PowerTable(base, tower)
 
 
 def _power_word(base: Word, k: int, tower: ExtensionTower) -> Word:
@@ -816,19 +812,28 @@ def minimal_root(a: Word, tower: ExtensionTower) -> tuple[Word, int]:
     return _nf(a, tower), 1
 
 
+def root_witness(y: Word, tower: ExtensionTower) -> Word:
+    """Minimal root of ``y`` transported back through its cyclic conjugator."""
+    c, conj = cyclically_reduce(y, tower)
+    if not c:
+        raise PreconditionViolated("the identity has no root witness")
+    if max_stage(c) == 0:
+        base, _ = _free_root(c)
+        return nf_word(conj * base * conj.inverse(), tower)
+    root, _ = minimal_root(y, tower)
+    return root
+
+
 def commutes(a: Word, b: Word, tower: ExtensionTower) -> bool:
     a, b = nf_word(a, tower), nf_word(b, tower)
     return _nf_product(a, b, tower) == _nf_product(b, a, tower)
 
 
+@_memoized(_ball_cache, lambda tower, radius: (tower._memos[-1], radius))
 def ball_words(tower: ExtensionTower, radius: int) -> tuple[Word, ...]:
     """All distinct normal forms of words of unit length <= radius, sorted."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    balls = tower._memos[-1].balls
-    cached = balls.get(radius)
-    if cached is not None:
-        return cached
     units = tower.alphabet()
     seen = {IDENTITY}
     frontier = [IDENTITY]
@@ -841,8 +846,7 @@ def ball_words(tower: ExtensionTower, radius: int) -> tuple[Word, ...]:
                     seen.add(v)
                     fresh.append(v)
         frontier = sorted(fresh, key=sort_key)
-    result = balls[radius] = tuple(sorted(seen, key=sort_key))
-    return result
+    return tuple(sorted(seen, key=sort_key))
 
 
 def centralizer_ball(y: Word, tower: ExtensionTower, radius: int) -> set[Word]:

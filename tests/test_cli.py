@@ -188,6 +188,7 @@ class TestDeterminism:
             ["lemmas", "--radius", "2", "--cap", "10"],
             ["build", "--stages", "-1"],
             ["build", "--stages", "1", "--power-bound", "0"],
+            ["build", "--stages", "1", "--radius", "0"],
             ["build", "--stages", "1", "--check-candidates", "-5"],
             ["lemmas", "--order-bound", "1"],
             ["field", "--cap", "0"],

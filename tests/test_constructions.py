@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
 from grouptower import constructions
 from grouptower.words import parse_word, stable, max_stage
-from grouptower.tower import MembershipUndecided, ball_words, commutes, in_cyclic, nf_word
+from grouptower.tower import ExtensionTower, MembershipUndecided, ball_words, commutes, in_cyclic, nf_word
 from grouptower.constructions import (
     InsufficientPairs,
     PreconditionViolated,
+    _candidate_pool,
     build_suite,
     check_conditions,
     classical_centralizer_witnesses,
@@ -52,6 +55,28 @@ def reference_rigidity(state):
                     undecided += 1
         witnesses.extend(bad[:4])
     return {"elements": elements, "undecided": undecided}, tuple(witnesses), checked
+
+
+def reference_centralizers(state, candidates, seed):
+    """The centralizer probe as a plain loop: pool words at the top stage
+    whose two products with a ledger element y are equal.  Returns the
+    centralizer row's details and witnesses."""
+    tower = state.tower
+    top = tower.num_steps
+    pool = _candidate_pool(state, candidates, seed)
+    elements, witnesses = 0, []
+    for y in ball_words(tower, state.radius):
+        if not y or not state.ledger.contains(y, tower):
+            continue
+        elements += 1
+        bad = [
+            f"centralizer:{y}:{k}"
+            for k in pool
+            if max_stage(nf_word(k, tower)) == top and nf_word(k * y, tower) == nf_word(y * k, tower)
+        ]
+        witnesses.extend(bad[:4])
+    details = {"elements": elements, "candidates_per_element": len(pool) if elements else 0, "undecided": 0}
+    return details, tuple(witnesses)
 
 
 def rows(report):
@@ -182,6 +207,33 @@ class TestConditionChecks:
         c = centralizers.details
         assert report.checked == c["elements"] * c["candidates_per_element"] + checked
         assert report.undecided == c["undecided"] + details["undecided"]
+
+    def test_rigidity_counterexamples_match_two_normal_form_loop(self):
+        # over the classical seed group 18 of the 36 outside elements have
+        # counterexamples, up to 32 each, so the row's 72 witnesses exercise
+        # the witness text and the cap of four per element
+        state = tower_step(initial_state(radius=1, power_bound=4, g0_mode="classical"))
+        rigidity = rows(check_conditions(state, min_centralizer_candidates=10))["condition-rigidity"]
+        details, witnesses, _ = reference_rigidity(state)
+        assert rigidity.verdict == "counterexample" and len(witnesses) == 72
+        assert rigidity.details == details
+        assert rigidity.witnesses == witnesses
+
+    @pytest.mark.parametrize("case", ["two_stage", "hnn_g0_g0"])
+    def test_centralizers_match_plain_loop(self, case, two_stage):
+        if case == "two_stage":
+            state, candidates = two_stage, 200
+        else:
+            # t1 g0 t1^-1 = g0: t1 centralizes every power of g0
+            seed_state = initial_state(radius=1, power_bound=2)
+            g0 = W("g0")
+            state, candidates = replace(seed_state, tower=ExtensionTower(2).extend_hnn(g0, g0)), 30
+        centralizers = rows(check_conditions(state, candidates, seed=0))["condition-centralizers"]
+        details, witnesses = reference_centralizers(state, candidates, 0)
+        assert centralizers.details == details
+        assert centralizers.witnesses == witnesses
+        if case == "hnn_g0_g0":
+            assert len(witnesses) == 8 and "centralizer:g0:t1" in witnesses
 
     def test_undecided_power_still_tests_higher_powers(self, two_stage, monkeypatch):
         tower = two_stage.tower

@@ -1,5 +1,6 @@
 import pytest
 
+from grouptower import minstruct
 from grouptower.minstruct import (
     MODE_I,
     OMEGA,
@@ -168,6 +169,15 @@ class TestAxiomSuite:
     def test_domain_cap(self):
         with pytest.raises(ValueError):
             elements_over(OMEGA, list(range(20)))
+
+    def test_bound_beyond_mode_i_section_fails_before_any_suite(self, monkeypatch):
+        # mode I holds 11 points; the omega suite alone would take minutes at 12
+        def no_suite(*args):
+            raise AssertionError("an axiom suite ran")
+
+        monkeypatch.setattr(minstruct, "axiom_suite", no_suite)
+        with pytest.raises(ValueError, match="mode I section"):
+            minstruct.minstruct_suite(12, 1, 1)
 
 
 class TestEmbedding:
