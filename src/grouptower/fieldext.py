@@ -160,15 +160,17 @@ class SquareMatrix:
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        rng = range(self.n)
+        cols = tuple(zip(*other.rows))
         rows = []
-        for i in rng:
+        for left in self.rows:
             row = []
-            for j in rng:
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in rng:
-                    if k:
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
+            for col in cols:
+                # the first product fixes the entry's type; a zero factor
+                # elsewhere adds nothing
+                acc = left[0] * col[0]
+                for x, y in zip(left[1:], col[1:]):
+                    if x and y:
+                        acc = acc + x * y
                 row.append(acc)
             rows.append(tuple(row))
         return SquareMatrix(tuple(rows))
@@ -196,13 +198,14 @@ def companion(spec: ExtFieldSpec) -> SquareMatrix:
 
 def mul_matrix(alpha, spec: ExtFieldSpec) -> SquareMatrix:
     """Matrix of ``x -> (alpha*a + 1) * x`` in the power basis."""
-    comp = companion(spec)
-    n = spec.n
     one = alpha * Fraction(0) + 1  # stays in alpha's ring
-    rows = []
-    for i in range(n):
-        rows.append(tuple((one if i == j else 0 * one) + alpha * comp.rows[i][j] for j in range(n)))
-    return SquareMatrix(tuple(rows))
+    zero = 0 * one
+    rows = [[one if i == j else zero for j in range(spec.n)] for i in range(spec.n)]
+    for i, comp_row in enumerate(companion(spec).rows):
+        for j, c in enumerate(comp_row):
+            if c:
+                rows[i][j] = rows[i][j] + alpha * c
+    return SquareMatrix(tuple(map(tuple, rows)))
 
 
 def q_values(alpha, spec: ExtFieldSpec):
@@ -227,13 +230,15 @@ def explicit_inverse(alpha: Fraction, spec: ExtFieldSpec) -> SquareMatrix:
     if denom == 0:
         raise SingularDenominator(f"1 + alpha*q_m vanishes at alpha={alpha}")
     h = 1 / denom
+    powers = [(-alpha) ** k for k in range(m + 2)]
     rows = []
     for i in range(spec.n):
+        qh = q[i] * h
         row = []
         for j in range(spec.n):
-            val = (-alpha) ** (m + 1 - j) * q[i] * h
+            val = powers[m + 1 - j] * qh
             if i >= j:
-                val += (-alpha) ** (i - j)
+                val += powers[i - j]
             row.append(val)
         rows.append(tuple(row))
     return SquareMatrix(tuple(rows))
@@ -271,12 +276,13 @@ def m_entry_formula(alpha, beta, spec: ExtFieldSpec):
     denom = 1 + alpha * q[m]
     if denom == 0:
         raise SingularDenominator(f"1 + alpha*q_m vanishes at alpha={alpha}")
-    h = 1 / denom
+    qh = q[m - 1] / denom
+    powers = [(-alpha) ** k for k in range(m + 2)]
     b = spec.coeffs
     total = Fraction(0)
     for i in range(m):
-        total += beta * b[i] * ((-alpha) ** (m - 1 - i) + (-alpha) ** (m + 1 - i) * q[m - 1] * h)
-    total -= (1 + beta * b[m]) * (alpha * q[m - 1] * h)
+        total += beta * b[i] * (powers[m - 1 - i] + powers[m + 1 - i] * qh)
+    total -= (1 + beta * b[m]) * (alpha * qh)
     return total
 
 
@@ -329,10 +335,15 @@ def field_suite(cap: int, seed: int) -> RunReport:
         ok = 0
         for _ in range(cap):
             spec, alpha, beta = random_instance(rng, n)
-            if (explicit_inverse(alpha, spec) @ mul_matrix(alpha, spec)).rows != SquareMatrix.identity(n).rows:
+            inverse = explicit_inverse(alpha, spec)
+            if (inverse @ mul_matrix(alpha, spec)).rows != SquareMatrix.identity(n).rows:
                 report.add(f"inverse-identity-n{n}", "counterexample", {"alpha": str(alpha)})
                 break
-            if m_matrix(alpha, beta, spec).entry(n - 2, n - 1) != m_entry_formula(alpha, beta, spec):
+            # the (n-2, n-1) entry of m_matrix: one row of the inverse times
+            # one column of the beta matrix
+            beta_col = [row[n - 1] for row in mul_matrix(beta, spec).rows]
+            entry = sum(x * y for x, y in zip(inverse.rows[n - 2], beta_col))
+            if entry != m_entry_formula(alpha, beta, spec):
                 report.add(f"entry-formula-n{n}", "counterexample", {"alpha": str(alpha)})
                 break
             ok += 1

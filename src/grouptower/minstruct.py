@@ -19,7 +19,8 @@ them as the one suite that the CLI and the acceptance criteria share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .report import RunReport
@@ -51,10 +52,13 @@ def _check_point(mode: str, p) -> None:
 class F2Element:
     mode: str
     support: frozenset
+    # the largest support point, or None for zero; the order reads only this
+    top: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for p in self.support:
             _check_point(self.mode, p)
+        object.__setattr__(self, "top", max(self.support) if self.support else None)
 
     def __str__(self) -> str:
         if not self.support:
@@ -83,13 +87,13 @@ def add(a: F2Element, b: F2Element) -> F2Element:
 
 def degree(a: F2Element):
     """Largest support point, or None for the zero element."""
-    return max(a.support) if a.support else None
+    return a.top
 
 
 def less(a: F2Element, b: F2Element) -> bool:
     """Compare top support indices; zero is strictly below everything else."""
     _same_mode(a, b)
-    da, db = degree(a), degree(b)
+    da, db = a.top, b.top
     if db is None:
         return False
     if da is None:
@@ -429,14 +433,15 @@ def embedding_check(bound: int = 6) -> bool:
     def image(x: F2Element) -> F2Element:
         return element(MODE_I, ((0, i) for i in x.support))
 
-    for x in dom:
-        for y in dom:
-            if image(add(x, y)) != add(image(x), image(y)):
+    images = {x: image(x) for x in dom}
+    for x, ix in images.items():
+        for y, iy in images.items():
+            if image(add(x, y)) != add(ix, iy):
                 return False
-            if less(x, y) != less(image(x), image(y)):
+            if less(x, y) != less(ix, iy):
                 return False
             for n in range(bound + 1):
-                if p_n(n, x, y) != p_n(n, image(x), image(y)):
+                if p_n(n, x, y) != p_n(n, ix, iy):
                     return False
     return True
 
@@ -483,7 +488,7 @@ def parse_element(text: str, mode: str) -> F2Element:
     if mode == OMEGA:
         return element(mode, (int(tok) for tok in inner.split(",")))
     pairs = []
-    for m in __import__("re").finditer(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", inner):
+    for m in re.finditer(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)", inner):
         pairs.append((int(m.group(1)), int(m.group(2))))
     if not pairs:
         raise ValueError(f"no index pairs in {text!r}")

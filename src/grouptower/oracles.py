@@ -353,8 +353,11 @@ def tower_suite(
 ) -> list[OracleVerdict]:
     """All oracles that apply to ``tower``: ``aabb`` only over a final free
     step, ``cent`` at radius at most 2 and the pair scans ``nn``/``jsc`` at
-    ``pair_radius``, all radii trimmed to ``radius``.  A power bound below 1
-    or an order bound below 2 would leave scans with no power to test."""
+    ``pair_radius``, all radii trimmed to ``radius``.  A radius below 1
+    would leave only the identity to scan, and a power bound below 1 or an
+    order bound below 2 would leave scans with no power to test."""
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
     if power_bound < 1:
         raise ValueError("power bound must be at least 1")
     if order_bound < 2:

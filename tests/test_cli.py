@@ -191,6 +191,7 @@ class TestDeterminism:
             ["build", "--stages", "1", "--radius", "0"],
             ["build", "--stages", "1", "--check-candidates", "-5"],
             ["lemmas", "--order-bound", "1"],
+            ["lemmas", "--radius", "0"],
             ["field", "--cap", "0"],
             ["minstruct", "--bound", "0"],
             ["minstruct", "--support-bound", "0"],
@@ -228,8 +229,14 @@ def test_perfbench_tracing_finds_every_name_it_patches(capsys):
         # the build path: the condition-check hook reads the report's totals
         assert main(["build", "--stages", "1", "--radius", "1", "--check-candidates", "10",
                      "--format", "structured"]) == 0
+        # the exact suites, whose functions are patched by name
+        assert main(["field", "--cap", "2", "--format", "structured"]) == 0
+        assert main(["minstruct", "--bound", "3", "--support-bound", "2", "--embed-bound", "2",
+                     "--format", "structured"]) == 0
     finally:
         recorder.uninstall()
     metrics = recorder.layer_metrics()
     assert metrics["absent"] == []
     assert metrics["constructions.check_conditions.checked"] > 0
+    assert metrics["fieldext.instances"] > 0
+    assert metrics["minstruct.max_chain_brute.calls"] > 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from grouptower import fieldext
 from grouptower.fieldext import (
     BivariatePoly,
     ExtFieldSpec,
@@ -10,6 +11,7 @@ from grouptower.fieldext import (
     SquareMatrix,
     companion,
     explicit_inverse,
+    field_suite,
     inverse_numerator,
     m_entry_formula,
     m_entry_numerator_symbolic,
@@ -46,6 +48,36 @@ def gauss_inverse(mat: SquareMatrix) -> SquareMatrix:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
     return SquareMatrix(tuple(tuple(row) for row in b))
+
+
+def triple_loop_product(a: SquareMatrix, b: SquareMatrix) -> tuple:
+    n = a.n
+    return tuple(
+        tuple(sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), F(0)) for j in range(n)) for i in range(n)
+    )
+
+
+class TestSquareMatrix:
+    def test_product_of_sparse_matrices_matches_triple_loop(self):
+        rng = random.Random(37)
+        values = [F(p, q) for p in range(-4, 5) if p for q in (1, 2, 3)]
+
+        def sparse(n: int) -> list[list[Fraction]]:
+            # at most half the entries nonzero
+            rows = [[F(0)] * n for _ in range(n)]
+            for cell in rng.sample(range(n * n), n * n // 2):
+                rows[cell // n][cell % n] = rng.choice(values)
+            return rows
+
+        for n in range(2, 7):
+            for _ in range(20):
+                a, b = sparse(n), sparse(n)
+                a[rng.randrange(n)] = [F(0)] * n
+                col = rng.randrange(n)
+                for row in b:
+                    row[col] = F(0)
+                left, right = frac_matrix(a), frac_matrix(b)
+                assert (left @ right).rows == triple_loop_product(left, right)
 
 
 class TestMulMatrix:
@@ -154,6 +186,20 @@ class TestMMatrix:
     def test_alpha_zero_reduces_to_coefficient(self):
         spec = ExtFieldSpec((F(3), F(2), F(5)))
         assert m_entry_formula(F(0), F(7), spec) == 7 * spec.coeffs[spec.m - 1]
+
+
+class TestFieldSuite:
+    def test_wrong_entry_formula_is_a_counterexample(self, monkeypatch):
+        real = fieldext.m_entry_formula
+
+        def off_by_one(alpha, beta, spec):
+            value = real(alpha, beta, spec)
+            return value + 1 if spec.n == 4 else value
+
+        monkeypatch.setattr(fieldext, "m_entry_formula", off_by_one)
+        verdicts = {c.check_id: c.verdict for c in field_suite(3, 0).checks}
+        assert verdicts["entry-formula-n4"] == "counterexample"
+        assert verdicts["identities-n3"] == verdicts["identities-n5"] == "pass"
 
 
 class TestSymbolicMode:

@@ -9,6 +9,7 @@ from grouptower.minstruct import (
     add,
     axiom_suite,
     degree,
+    domain_points,
     element,
     elements_over,
     embedding_check,
@@ -26,6 +27,19 @@ from grouptower.minstruct import (
 
 def e(*points):
     return element(OMEGA, points)
+
+
+class TestElements:
+    @pytest.mark.parametrize("mode", [OMEGA, MODE_I])
+    def test_degree_is_the_largest_support_point(self, mode):
+        for x in elements_over(mode, domain_points(mode, 6)):
+            assert degree(x) == (max(x.support) if x.support else None)
+
+    @pytest.mark.parametrize("mode", [OMEGA, MODE_I])
+    def test_equal_supports_are_equal_elements(self, mode):
+        for x in elements_over(mode, domain_points(mode, 6)):
+            twin = element(mode, reversed(sorted(x.support)))
+            assert twin == x and hash(twin) == hash(x)
 
 
 class TestAddition:
@@ -183,6 +197,16 @@ class TestAxiomSuite:
 class TestEmbedding:
     def test_bound_six(self):
         assert embedding_check(6)
+
+    def test_wrong_order_on_one_mode_i_pair_fails(self, monkeypatch):
+        real = minstruct.less
+        pair = (element(MODE_I, [(0, 1)]), element(MODE_I, [(0, 2)]))
+
+        def wrong(a, b):
+            return (not real(a, b)) if (a, b) == pair else real(a, b)
+
+        monkeypatch.setattr(minstruct, "less", wrong)
+        assert not embedding_check(4)
 
     def test_zero_maps_to_zero(self):
         img = element(MODE_I, ((0, i) for i in ()))
