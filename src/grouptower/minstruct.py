@@ -80,9 +80,17 @@ def _same_mode(a: F2Element, b: F2Element) -> None:
 
 
 def add(a: F2Element, b: F2Element) -> F2Element:
-    """Symmetric difference of supports; every element is its own inverse."""
+    """Symmetric difference of supports; every element is its own inverse.
+
+    The sum's points are a subset of the operands' validated points, so it
+    is built without ``_check_point``."""
     _same_mode(a, b)
-    return F2Element(a.mode, a.support ^ b.support)
+    support = a.support ^ b.support
+    total = object.__new__(F2Element)
+    object.__setattr__(total, "mode", a.mode)
+    object.__setattr__(total, "support", support)
+    object.__setattr__(total, "top", max(support) if support else None)
+    return total
 
 
 def degree(a: F2Element):

@@ -11,6 +11,14 @@ every oracle here reports 0 undecided.
 Identical specs (including the seed) give identical verdicts.
 ``tower_suite`` runs all eight oracles on one tower;
 ``run_standard_suite`` and ``lemmas --tower`` both run it.
+
+The hot scans decide premises by group-axiom identities, never by the lemma
+under test: ``aabb`` compares cached squares (``abba = e`` iff
+``b^2 = a^-2``), ``cent`` tests one commutation per inverse orbit
+(``[u, v] = e`` iff ``[u^-1, v] = e``) and draws one shared-root conclusion
+per commuting pair, and ``nn`` and ``jsc`` compare cached powers.  The
+predicate functions stay as the per-tuple replay reference, and every tuple
+is still counted.
 """
 from __future__ import annotations
 
@@ -217,10 +225,30 @@ def has_no_small_torsion(tower: ExtensionTower, w: Word, order_bound: int) -> bo
 
 
 def check_aabb(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
+    """``square_inverse_pair_conjugate`` on every pair, by squares: ``abba =
+    e`` iff ``a b^2 a = e`` iff ``b^2 = a^-2``.  Each ball element's normal
+    forms of ``x^2`` and ``x^-2`` are computed once, inside the predicate so
+    that a raise counts its tuple as undecided; a pair compares two cached
+    words, and only a pair meeting the premise normal-forms ``ab``."""
     if tower.num_steps == 0 or not tower.steps[-1].is_free:
         raise PreconditionViolated("this check needs a final free-product step")
-    pairs = _tuples(enumerate_ball(spec, tower), 2, spec)
-    return _scan("aabb", pairs, partial(square_inverse_pair_conjugate, tower))
+    squares: dict[Word, tuple[Word, Word]] = {}
+
+    def square(x: Word) -> tuple[Word, Word]:
+        if x not in squares:
+            inv = x.inverse()
+            squares[x] = (nf_word(x * x, tower), nf_word(inv * inv, tower))
+        return squares[x]
+
+    def conjugate_into_base(a: Word, b: Word) -> bool | None:
+        if square(b)[0] != square(a)[1]:
+            return None
+        ab = nf_word(a * b, tower)
+        if not ab:
+            return None
+        return is_conjugate_into_base(ab, tower)
+
+    return _scan("aabb", _tuples(enumerate_ball(spec, tower), 2, spec), conjugate_into_base)
 
 
 def _with_powers(ball, power_bound: int):
@@ -236,29 +264,49 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
     """Scan commuting pairs first, then complete them with a commuting third
     element; this keeps the triple scan exhaustive at small radius.
 
-    Both scans read one commutation table, so each commutator of two ball
-    elements is normal-formed once per scan: ``[v, u]`` is ``[u, v]^-1``,
-    so a pair's first answer is stored under both orders.  The word calculus
-    decides every commutation; should a test raise ``MembershipUndecided`` in
-    both orders, every lookup of that pair raises, as an uncached test would.
+    Both scans read one commutation table.  ``[u, v] = e`` iff ``[u^-1, v] =
+    e`` iff ``[u, v^-1] = e``, and the ball's normal forms are closed under
+    inverse, so one ``commutes`` answer is stored under all eight ordered
+    pairs ``(u^±1, v^±1)`` and their reverses.  The word calculus decides
+    every commutation; should every pair of an inverse orbit raise
+    ``MembershipUndecided``, every lookup of the orbit raises.  The
+    conclusion reads the third element ``a`` only through its eligibility,
+    so eligibility is kept per ``a`` and ``_shared_root`` runs once per
+    commuting pair.
     """
     ball = enumerate_ball(spec, tower)
+    inv = {x: nf_word(x.inverse(), tower) for x in ball}
     table: dict[tuple[Word, Word], bool] = {}
 
     def commuting(u: Word, v: Word) -> bool:
         answer = table.get((u, v))
         if answer is None:
-            try:
-                answer = commutes(u, v, tower)
-            except MembershipUndecided:
-                answer = commutes(v, u, tower)
-            table[u, v] = table[v, u] = answer
+            signs = ((u, v), (inv[u], v), (u, inv[v]), (inv[u], inv[v]))
+            orbit = [pair for p, q in signs for pair in ((p, q), (q, p))]
+            for x, y in orbit:
+                try:
+                    answer = commutes(x, y, tower)
+                    break
+                except MembershipUndecided as exc:
+                    error = exc
+            else:
+                raise error
+            table.update(dict.fromkeys(orbit, answer))
         return answer
+
+    eligible: dict[Word, bool] = {}
+    shared: dict[tuple[Word, Word], bool] = {}
 
     def centralized(w: Word, c: Word, a: Word) -> bool | None:
         if not commuting(a, w) or not commuting(a, c):
             return None
-        return _shared_root(tower, w, c, a)
+        if a not in eligible:
+            eligible[a] = _eligible(a, tower)
+        if not eligible[a]:
+            return None
+        if (w, c) not in shared:
+            shared[w, c] = _shared_root(tower, w, c, a)
+        return shared[w, c]
 
     undecided = 0
     pairs = []

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from grouptower import minstruct
@@ -5,6 +7,7 @@ from grouptower.minstruct import (
     MODE_I,
     OMEGA,
     AxiomReport,
+    F2Element,
     ModeMismatch,
     add,
     axiom_suite,
@@ -56,6 +59,30 @@ class TestAddition:
     def test_mode_mismatch(self):
         with pytest.raises(ModeMismatch):
             add(e(0), element(MODE_I, [(0, 0)]))
+        with pytest.raises(ModeMismatch):
+            add(element(MODE_I, [(1, -3)]), e(0))
+
+    @pytest.mark.parametrize("mode", [OMEGA, MODE_I])
+    def test_sum_is_the_element_of_the_symmetric_difference(self, mode):
+        pool = elements_over(mode, domain_points(mode, 6))
+        rng = random.Random(f"add:{mode}")
+        for _ in range(500):
+            x, y = rng.choice(pool), rng.choice(pool)
+            total, expected = add(x, y), element(mode, x.support ^ y.support)
+            assert total == expected
+            assert (total.top, hash(total), str(total)) == (expected.top, hash(expected), str(expected))
+
+    def test_outside_input_is_still_validated(self):
+        # sums skip the point check; every other way in keeps it
+        for build in (
+            lambda: element(OMEGA, [-1]),
+            lambda: element(MODE_I, [(0, -1)]),
+            lambda: F2Element(OMEGA, frozenset({2, -1})),
+            lambda: F2Element(MODE_I, frozenset({(1, 2, 3)})),
+            lambda: parse_element("{(0,-2)}", MODE_I),
+        ):
+            with pytest.raises(ValueError):
+                build()
 
 
 class TestOrder:

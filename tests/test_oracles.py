@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -34,6 +36,9 @@ W = parse_word
 
 FREEZ = standard_towers()["free_z"]
 MIXED = standard_towers()["hnn"]
+# the Klein bottle group t g0 t^-1 = g0^-1 under a free step: (g0 t1)^2 = t1^2
+# with g0 t1 != t1, so pairs meet the aabb premise with ab != e
+KLEIN = ExtensionTower(1).extend_hnn(W("g0"), W("g0^-1")).extend_free()
 
 
 class TestEnumerateBall:
@@ -78,6 +83,49 @@ class TestSquareInversePairs:
 
         with pytest.raises(PreconditionViolated):
             check_aabb(BallSpec(radius=2), MIXED)
+
+
+def reference_aabb(spec, tower, keep=lambda a, b: True):
+    """check_aabb as one replay predicate per pair, over the kept pairs."""
+    pairs = (p for p in _tuples(ball_words(tower, spec.radius), 2, spec) if keep(*p))
+    return _scan("aabb", pairs, partial(square_inverse_pair_conjugate, tower))
+
+
+class TestSquaresForAabb:
+    @pytest.mark.parametrize(
+        "tower, radius",
+        # radius 4 holds 937 (free_z) and 609 (klein) normal forms, so its
+        # pairs are sampled; radii 2 and 3 are exhaustive
+        [(FREEZ, 2), (FREEZ, 3), (FREEZ, 4), (KLEIN, 2), (KLEIN, 3), (KLEIN, 4)],
+        ids=["free_z-2", "free_z-3", "free_z-4", "klein-2", "klein-3", "klein-4"],
+    )
+    def test_matches_replay_predicate(self, tower, radius):
+        spec = BallSpec(radius=radius)
+        assert check_aabb(spec, tower) == reference_aabb(spec, tower)
+
+    def test_klein_tower_meets_the_premise(self):
+        verdict = check_aabb(BallSpec(radius=2), KLEIN)
+        assert verdict.outcome == PASS and verdict.premise_hits == 12
+
+    def test_undecided_square_counts_its_tuples(self, monkeypatch):
+        spec = BallSpec(radius=2)
+        ball = ball_words(KLEIN, 2)
+        # g0^2 is the square of g0 and the inverse square of g0^-1
+        touched = {W("g0"), W("g0^-1")}
+        kept = reference_aabb(spec, KLEIN, lambda a, b: not {a, b} & touched)
+        real = oracles.nf_word
+
+        def nf_word(w, tower):
+            if w == W("g0^2"):
+                raise MembershipUndecided("blocked")
+            return real(w, tower)
+
+        monkeypatch.setattr(oracles, "nf_word", nf_word)
+        verdict = check_aabb(spec, KLEIN)
+        assert verdict.outcome == UNDECIDED
+        assert verdict.checked == len(ball) ** 2
+        assert verdict.undecided == len(ball) ** 2 - (len(ball) - 2) ** 2
+        assert (verdict.premise_hits, verdict.witnesses) == (kept.premise_hits, kept.witnesses)
 
 
 class TestLemmaOracles:
@@ -204,11 +252,15 @@ def reference_cent(spec, tower):
     return _scan("cent", triples, partial(common_cyclic_centralizer, tower), undecided=undecided)
 
 
-def undecided_on(pair, monkeypatch, both_orders):
-    """Patch ``oracles.commutes`` to raise on ``pair`` (and on its reverse
-    when ``both_orders``)."""
+def inverse_orbit(u, v, tower):
+    """The ordered pairs ``(u^±1, v^±1)`` and their reverses."""
+    us, vs = (u, nf_word(u.inverse(), tower)), (v, nf_word(v.inverse(), tower))
+    return {pair for x in us for y in vs for pair in ((x, y), (y, x))}
+
+
+def undecided_on(blocked, monkeypatch):
+    """Patch ``oracles.commutes`` to raise on the ordered pairs in ``blocked``."""
     real = oracles.commutes
-    blocked = {pair, pair[::-1]} if both_orders else {pair}
 
     def commutes(a, b, tower):
         if (a, b) in blocked:
@@ -226,7 +278,7 @@ class TestCentCommutationTable:
     def test_matches_unmemoised_reference(self, tower):
         assert check_cent(self.SPEC, tower) == reference_cent(self.SPEC, tower)
 
-    def test_one_commutes_call_per_unordered_pair(self, monkeypatch):
+    def test_one_commutes_call_per_inverse_orbit(self, monkeypatch):
         calls = []
         real = oracles.commutes
 
@@ -235,19 +287,42 @@ class TestCentCommutationTable:
             return real(a, b, tower)
 
         monkeypatch.setattr(oracles, "commutes", counting)
-        n = len(ball_words(FREEZ, 2))
+        ball = ball_words(FREEZ, 2)
+        orbits = {frozenset(inverse_orbit(u, v, FREEZ)) for u, v in itertools.product(ball, ball)}
         verdict = check_cent(self.SPEC, FREEZ)
-        assert len(calls) <= n * (n + 1) // 2
+        assert len(calls) <= len(orbits)
         assert verdict.checked == 6253 and verdict.premise_hits == 244
 
+    def test_one_shared_root_call_per_commuting_pair(self, monkeypatch):
+        calls = Counter()
+        real = oracles._shared_root
+
+        def counting(tower, w, c, a):
+            calls[w, c] += 1
+            return real(tower, w, c, a)
+
+        monkeypatch.setattr(oracles, "_shared_root", counting)
+        for tower in (FREEZ, MIXED):
+            calls.clear()
+            verdict = check_cent(self.SPEC, tower)
+            assert max(calls.values()) == 1
+            assert verdict == reference_cent(self.SPEC, tower)
+
     def test_pair_undecided_in_both_orders_counts_as_today(self, monkeypatch):
-        undecided_on(self.PAIR, monkeypatch, both_orders=True)
+        # an orbit is undecided only when every pair in it raises
+        undecided_on(inverse_orbit(*self.PAIR, FREEZ), monkeypatch)
         verdict = check_cent(self.SPEC, FREEZ)
         assert verdict.outcome == UNDECIDED
         assert verdict == reference_cent(self.SPEC, FREEZ)
 
+    def test_pair_undecided_in_its_own_orders_is_decided(self, monkeypatch):
+        plain = check_cent(self.SPEC, FREEZ)
+        undecided_on({self.PAIR, self.PAIR[::-1]}, monkeypatch)
+        assert reference_cent(self.SPEC, FREEZ).undecided > 0
+        assert check_cent(self.SPEC, FREEZ) == plain
+
     def test_pair_undecided_in_one_order_is_decided(self, monkeypatch):
         plain = check_cent(self.SPEC, FREEZ)
-        undecided_on(self.PAIR, monkeypatch, both_orders=False)
+        undecided_on({self.PAIR}, monkeypatch)
         assert reference_cent(self.SPEC, FREEZ).undecided > 0
         assert check_cent(self.SPEC, FREEZ) == plain
