@@ -334,6 +334,21 @@ def check_conditions(
     decides every tuple; one whose test raised ``MembershipUndecided`` would
     count as undecided, never silently dropped.  Each row keeps up to four
     counterexamples per element as witnesses.
+
+    Tables local to one call share verdicts by group-axiom identities,
+    never by the condition under test; every tuple is still counted.
+    ``[k, y] = e`` iff ``[k, y^-1] = e``, and it implies ``[k, y^2] = e``:
+    one commutation test serves y and y^-1, and a k that fails to commute
+    with a ledger element's square (when that square is in the ledger ball)
+    fails for the element.  ``w y^-m w^-1 = (w y^m w^-1)^-1`` and
+    ``(w y^m w^-1)^k = w y^km w^-1``: y and y^-1 share premise verdicts when
+    their witnesses generate one <z>, a decided premise failure at a
+    multiple of m (the largest tested first) is a failure at m, a power of
+    y conjugates y^m as e does, and ``w in <z>`` is tested once per
+    (<z>, w).  A raise is never stored, so a tuple whose own test raises is
+    undecided; a raise while forming a shared key only turns sharing off.
+    A tuple skipped by a failure at a multiple is decided even where its
+    own test would raise.
     """
     if state.stage < 1:
         raise PreconditionViolated("condition checks need at least one step")
@@ -349,19 +364,72 @@ def check_conditions(
     ledger_ball = [y for y, known in in_ledger.items() if known]
     outside = [y for y, known in in_ledger.items() if not known]
 
+    # ball words are normal forms, and the ball is closed under inverses
+    inverse = {w: _nf(w.inverse(), tower) for w in ball}
+    # verdicts shared within this call; a raise is never stored
+    commuting: dict[tuple[Word, frozenset], bool] = {}
+    premise_tables: dict[tuple[frozenset, frozenset], dict[tuple[Word, int], bool]] = {}
+    within: dict[tuple[frozenset, Word], bool] = {}
+
+    squares: dict[Word, Word] = {}
+    for y in ledger_ball:
+        try:
+            square = _nf(y ** 2, tower)
+        except MembershipUndecided:
+            continue
+        if in_ledger.get(square):
+            squares[y] = square
+
+    def commute(k: Word, y: Word) -> bool:
+        """``k y == y k``, one answer for y and y^-1."""
+        key = (k, frozenset((y, inverse[y])))
+        if key not in commuting:
+            commuting[key] = commutes(k, y, tower)
+        return commuting[key]
+
     def escapes(y: Word, k: Word) -> bool | None:
         """Premise: normal form ``k`` involves the newest letter.  Conclusion: ``k y != y k``."""
         if max_stage(k) != top:
             return None
-        return not commutes(k, y, tower)
+        # a k that does not commute with y^2 does not commute with y
+        if y in squares:
+            try:
+                if not commute(k, squares[y]):
+                    return True
+            except MembershipUndecided:
+                pass
+        return not commute(k, y)
 
-    def rigid(z: Word, w: Word, winv: Word, m: int, y_m: Word | None) -> bool | None:
+    def rigid(z: Word, subgroup: frozenset, premises: dict[tuple[Word, int], bool], powers: list[Word | None],
+              cyclic: set[Word], w: Word, m: int) -> bool | None:
         """Premise: ``w y^m w^-1`` lies in <z>.  Conclusion: so does ``w``."""
-        if y_m is None:
+        if powers[m - 1] is None:
             raise MembershipUndecided(f"power {m} has no normal form")
-        if _member_nf(_nf_product(_nf_product(w, y_m, tower), winv, tower), z, tower) is None:
+        # a power of y commutes with y^n, so it conjugates y^n as e does
+        v = IDENTITY if w in cyclic else w
+
+        def premise(n: int) -> bool:
+            if (v, n) not in premises:
+                y_n = powers[n - 1]
+                if y_n is None:
+                    raise MembershipUndecided(f"power {n} has no normal form")
+                conj = _nf_product(_nf_product(w, y_n, tower), inverse[w], tower) if v else y_n
+                premises[v, n] = _member_nf(conj, z, tower) is not None
+            return premises[v, n]
+
+        # (w y^m w^-1)^k = w y^km w^-1: a decided failure at a multiple of m
+        # is a failure at m; the largest multiple is tested first
+        for n in range(state.power_bound // m * m, m, -m):
+            try:
+                if not premise(n):
+                    return None
+            except MembershipUndecided:
+                pass
+        if not premise(m):
             return None
-        return _member_nf(w, z, tower) is not None
+        if (subgroup, w) not in within:
+            within[subgroup, w] = _member_nf(w, z, tower) is not None
+        return within[subgroup, w]
 
     centralizer_witnesses: list[str] = []
     centralizer_undecided = 0
@@ -371,8 +439,6 @@ def check_conditions(
         centralizer_undecided += verdict.undecided
 
     tuples = len(ball) * state.power_bound
-    # ball words are normal forms: each conjugate is two products of them
-    conjugators = [(w, _nf(w.inverse(), tower)) for w in ball]
     rigidity_witnesses: list[str] = []
     rigidity_undecided = 0
     for y in outside:
@@ -382,6 +448,11 @@ def check_conditions(
             # without a witness every tuple of y is undecided
             rigidity_undecided += tuples
             continue
+        # <z> = <z^-1>; without nf(z^-1) the key names z alone
+        try:
+            subgroup = frozenset((z, _nf(z.inverse(), tower)))
+        except MembershipUndecided:
+            subgroup = frozenset((z,))
         # one normal form per power; None marks an undecided power, whose
         # len(ball) tuples are all undecided
         powers: list[Word | None] = []
@@ -390,9 +461,17 @@ def check_conditions(
                 powers.append(_nf(y ** m, tower))
             except MembershipUndecided:
                 powers.append(None)
-        stream = ((w, winv, m, y_m) for w, winv in conjugators for m, y_m in enumerate(powers, start=1))
-        verdict = _scan("condition-rigidity", stream, partial(rigid, z))
-        rigidity_witnesses += [f"rigidity:{y}|{w}|{m}" for w, _, m, _ in verdict.witnesses[:4]]
+        # v y^-n v^-1 = (v y^n v^-1)^-1: y and y^-1 share one premise table,
+        # which the second of them takes out, so it is freed after its scan
+        share = (subgroup, frozenset((y, inverse[y])))
+        premises = premise_tables.pop(share, None)
+        if premises is None:
+            premises = premise_tables[share] = {}
+        # the powers of y in the ball, the same set for y^-1
+        cyclic = {IDENTITY} | {v for p in powers if p in inverse for v in (p, inverse[p])}
+        stream = ((w, m) for w in ball for m in range(1, state.power_bound + 1))
+        verdict = _scan("condition-rigidity", stream, partial(rigid, z, subgroup, premises, powers, cyclic))
+        rigidity_witnesses += [f"rigidity:{y}|{w}|{m}" for w, m in verdict.witnesses[:4]]
         rigidity_undecided += verdict.undecided
 
     seed_fracs = [f[0] for f in state.fractions]

@@ -83,6 +83,12 @@ def rows(report):
     return {c.check_id: c for c in report.checks}
 
 
+def hnn_state(source, target, radius, power_bound=4):
+    """The seed state at ``radius`` with one step ``t1 source t1^-1 = target``."""
+    seed_state = initial_state(radius=radius, power_bound=power_bound)
+    return replace(seed_state, tower=ExtensionTower(2).extend_hnn(W(source), W(target)))
+
+
 class TestLedger:
     def test_seeded_with_powers_and_inverses(self):
         state = initial_state(radius=2, power_bound=4)
@@ -219,21 +225,60 @@ class TestConditionChecks:
         assert rigidity.details == details
         assert rigidity.witnesses == witnesses
 
-    @pytest.mark.parametrize("case", ["two_stage", "hnn_g0_g0"])
+    @pytest.mark.parametrize(
+        "case", ["two_stage", "hnn_g0_g0", "hnn_g0_g0_radius_2", "hnn_g0sq_g0sq_radius_2"]
+    )
     def test_centralizers_match_plain_loop(self, case, two_stage):
         if case == "two_stage":
             state, candidates = two_stage, 200
-        else:
+        elif case == "hnn_g0_g0":
             # t1 g0 t1^-1 = g0: t1 centralizes every power of g0
-            seed_state = initial_state(radius=1, power_bound=2)
-            g0 = W("g0")
-            state, candidates = replace(seed_state, tower=ExtensionTower(2).extend_hnn(g0, g0)), 30
+            state, candidates = hnn_state("g0", "g0", 1, power_bound=2), 30
+        elif case == "hnn_g0_g0_radius_2":
+            # t1 commutes with g0 and with its square g0^2, a ledger ball element
+            state, candidates = hnn_state("g0", "g0", 2), 30
+        else:
+            # t1 commutes with g0^2 but not with g0
+            state, candidates = hnn_state("g0^2", "g0^2", 2), 30
         centralizers = rows(check_conditions(state, candidates, seed=0))["condition-centralizers"]
         details, witnesses = reference_centralizers(state, candidates, 0)
         assert centralizers.details == details
         assert centralizers.witnesses == witnesses
         if case == "hnn_g0_g0":
             assert len(witnesses) == 8 and "centralizer:g0:t1" in witnesses
+        if case == "hnn_g0_g0_radius_2":
+            assert {"centralizer:g0:t1", "centralizer:g0^2:t1"} <= set(witnesses)
+        if case == "hnn_g0sq_g0sq_radius_2":
+            assert "centralizer:g0^2:t1" in witnesses and "centralizer:g0:t1" not in witnesses
+
+    @pytest.mark.parametrize(
+        "source, target, radius", [("g1^2", "g1^3", 1), ("g1^2", "g1^3", 2), ("g0^2", "g0^2", 2)]
+    )
+    def test_rigidity_matches_two_normal_form_loop_on_hnn_towers(self, source, target, radius):
+        state = hnn_state(source, target, radius)
+        rigidity = rows(check_conditions(state, 30, seed=0))["condition-rigidity"]
+        details, witnesses, _ = reference_rigidity(state)
+        assert rigidity.details == details
+        assert rigidity.witnesses == witnesses
+        if source == "g1^2":
+            # t1 g1^2 t1^-1 = g1^3: the premise holds at g1^2 and g1^4, not at g1
+            assert {"rigidity:g1|t1|2", "rigidity:g1|t1|4"} <= set(witnesses)
+            assert "rigidity:g1|t1|1" not in witnesses
+
+    def test_shared_verdicts_cut_products_and_commutation_tests(self, two_stage, monkeypatch):
+        # one verdict per inverse pair, a premise failure at a multiple of m
+        # read as one at m, and the squares of ledger elements: the parent's
+        # per-tuple loops made 5,264 commutation tests and 25,376 products
+        calls = {"commutes": 0, "_nf_product": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(constructions, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(constructions, name, counted)
+        check_conditions(two_stage, 1000, seed=1001)
+        assert calls["commutes"] <= 5264 // 4
+        assert calls["_nf_product"] <= 25376 // 4
 
     def test_undecided_power_still_tests_higher_powers(self, two_stage, monkeypatch):
         tower = two_stage.tower
@@ -284,6 +329,28 @@ class TestConditionChecks:
         assert rigidity == {"elements": elements, "undecided": len(ball) * 4}
         assert report.undecided == sum(c.details.get("undecided", 0) for c in report.checks)
         assert build_suite(1, 1, 4, "free", 20, 0).undecided_total == len(ball) * 4
+
+    def test_raised_premise_is_not_shared_with_the_inverse(self, two_stage, monkeypatch):
+        # y and y^-1 share premise verdicts, but a raise is never stored:
+        # the tuples of y^-1 with the same w test again and count again
+        tower = two_stage.tower
+        ball = ball_words(tower, two_stage.radius)
+        y = next(
+            w for w in ball if (w ** 2).unit_length > two_stage.radius and not two_stage.ledger.contains(w, tower)
+        )
+        w = next(v for v in ball if v.unit_length == 2 and v not in (y, nf_word(y.inverse(), tower)))
+        powers = {nf_word(y ** n, tower) for n in range(-4, 5) if n}
+        original = constructions._nf_product
+
+        def undecided_at_w(a, b, tower_):
+            if a == w and b in powers:
+                raise MembershipUndecided(f"{a} {b} marked undecided")
+            return original(a, b, tower_)
+
+        monkeypatch.setattr(constructions, "_nf_product", undecided_at_w)
+        report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
+        assert rows(report)["condition-rigidity"].details["undecided"] == 2 * two_stage.power_bound
+        assert report.undecided == 2 * two_stage.power_bound
 
 
 class TestClassical:
