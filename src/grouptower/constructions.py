@@ -330,10 +330,9 @@ def check_conditions(
     Rigidity: for non-ledger ball elements y with witness z, any conjugate
     ``w y^m w^-1`` landing in <z> forces w into <z>.  Progress: the fraction
     of the seed ball certified conjugate to x never decreases.  The two
-    probe rows run one :func:`oracles._scan` per element.  The word calculus
-    decides every tuple; one whose test raised ``MembershipUndecided`` would
-    count as undecided, never silently dropped.  Each row keeps up to four
-    counterexamples per element as witnesses.
+    probe rows run one :func:`oracles._scan` per element, and an element
+    whose witness is undecided counts all its rigidity tuples as undecided.
+    Each row keeps up to four counterexamples per element as witnesses.
 
     Tables local to one call share verdicts by group-axiom identities,
     never by the condition under test; every tuple is still counted.
@@ -342,13 +341,9 @@ def check_conditions(
     with a ledger element's square (when that square is in the ledger ball)
     fails for the element.  ``w y^-m w^-1 = (w y^m w^-1)^-1`` and
     ``(w y^m w^-1)^k = w y^km w^-1``: y and y^-1 share premise verdicts when
-    their witnesses generate one <z>, a decided premise failure at a
-    multiple of m (the largest tested first) is a failure at m, a power of
-    y conjugates y^m as e does, and ``w in <z>`` is tested once per
-    (<z>, w).  A raise is never stored, so a tuple whose own test raises is
-    undecided; a raise while forming a shared key only turns sharing off.
-    A tuple skipped by a failure at a multiple is decided even where its
-    own test would raise.
+    their witnesses generate one <z>, a premise failure at a multiple of m
+    (the largest tested first) is a failure at m, a power of y conjugates
+    y^m as e does, and ``w in <z>`` is tested once per (<z>, w).
     """
     if state.stage < 1:
         raise PreconditionViolated("condition checks need at least one step")
@@ -366,17 +361,14 @@ def check_conditions(
 
     # ball words are normal forms, and the ball is closed under inverses
     inverse = {w: _nf(w.inverse(), tower) for w in ball}
-    # verdicts shared within this call; a raise is never stored
+    # verdicts shared within this call
     commuting: dict[tuple[Word, frozenset], bool] = {}
     premise_tables: dict[tuple[frozenset, frozenset], dict[tuple[Word, int], bool]] = {}
     within: dict[tuple[frozenset, Word], bool] = {}
 
     squares: dict[Word, Word] = {}
     for y in ledger_ball:
-        try:
-            square = _nf(y ** 2, tower)
-        except MembershipUndecided:
-            continue
+        square = _nf(y ** 2, tower)
         if in_ledger.get(square):
             squares[y] = square
 
@@ -392,41 +384,28 @@ def check_conditions(
         if max_stage(k) != top:
             return None
         # a k that does not commute with y^2 does not commute with y
-        if y in squares:
-            try:
-                if not commute(k, squares[y]):
-                    return True
-            except MembershipUndecided:
-                pass
+        if y in squares and not commute(k, squares[y]):
+            return True
         return not commute(k, y)
 
-    def rigid(z: Word, subgroup: frozenset, premises: dict[tuple[Word, int], bool], powers: list[Word | None],
+    def rigid(z: Word, subgroup: frozenset, premises: dict[tuple[Word, int], bool], powers: list[Word],
               cyclic: set[Word], w: Word, m: int) -> bool | None:
         """Premise: ``w y^m w^-1`` lies in <z>.  Conclusion: so does ``w``."""
-        if powers[m - 1] is None:
-            raise MembershipUndecided(f"power {m} has no normal form")
         # a power of y commutes with y^n, so it conjugates y^n as e does
         v = IDENTITY if w in cyclic else w
 
         def premise(n: int) -> bool:
             if (v, n) not in premises:
                 y_n = powers[n - 1]
-                if y_n is None:
-                    raise MembershipUndecided(f"power {n} has no normal form")
                 conj = _nf_product(_nf_product(w, y_n, tower), inverse[w], tower) if v else y_n
                 premises[v, n] = _member_nf(conj, z, tower) is not None
             return premises[v, n]
 
-        # (w y^m w^-1)^k = w y^km w^-1: a decided failure at a multiple of m
-        # is a failure at m; the largest multiple is tested first
-        for n in range(state.power_bound // m * m, m, -m):
-            try:
-                if not premise(n):
-                    return None
-            except MembershipUndecided:
-                pass
-        if not premise(m):
-            return None
+        # (w y^m w^-1)^k = w y^km w^-1: a failure at a multiple of m is a
+        # failure at m; the largest multiple is tested first
+        for n in range(state.power_bound // m * m, 0, -m):
+            if not premise(n):
+                return None
         if (subgroup, w) not in within:
             within[subgroup, w] = _member_nf(w, z, tower) is not None
         return within[subgroup, w]
@@ -448,19 +427,8 @@ def check_conditions(
             # without a witness every tuple of y is undecided
             rigidity_undecided += tuples
             continue
-        # <z> = <z^-1>; without nf(z^-1) the key names z alone
-        try:
-            subgroup = frozenset((z, _nf(z.inverse(), tower)))
-        except MembershipUndecided:
-            subgroup = frozenset((z,))
-        # one normal form per power; None marks an undecided power, whose
-        # len(ball) tuples are all undecided
-        powers: list[Word | None] = []
-        for m in range(1, state.power_bound + 1):
-            try:
-                powers.append(_nf(y ** m, tower))
-            except MembershipUndecided:
-                powers.append(None)
+        subgroup = frozenset((z, _nf(z.inverse(), tower)))  # <z> = <z^-1>
+        powers = [_nf(y ** m, tower) for m in range(1, state.power_bound + 1)]
         # v y^-n v^-1 = (v y^n v^-1)^-1: y and y^-1 share one premise table,
         # which the second of them takes out, so it is freed after its scan
         share = (subgroup, frozenset((y, inverse[y])))

@@ -12,6 +12,13 @@ Identical specs (including the seed) give identical verdicts.
 ``tower_suite`` runs all eight oracles on one tower;
 ``run_standard_suite`` and ``lemmas --tower`` both run it.
 
+``_scan`` is the one place where a raise becomes an undecided tuple.
+Elsewhere only the construction's witness search (``root_witness``,
+``constructions.z_witness``) is caught: its element gets no witness, and
+all of the element's rigidity tuples count as undecided.  A raise from any
+other exact engine call is a defect: nothing catches it, and the CLI stops
+with ``error:`` and exit 2.
+
 The hot scans decide premises by group-axiom identities, never by the lemma
 under test: ``aabb`` compares cached squares (``abba = e`` iff
 ``b^2 = a^-2``), ``cent`` tests one commutation per inverse orbit
@@ -103,13 +110,13 @@ def _tuples(items: tuple[Word, ...], arity: int, spec: BallSpec):
         yield tuple(rng.choice(items) for _ in range(arity))
 
 
-def _scan(lemma_id: str, tuples, predicate, checked: int = 0, undecided: int = 0) -> OracleVerdict:
+def _scan(lemma_id: str, tuples, predicate, checked: int = 0) -> OracleVerdict:
     """Evaluate ``predicate(*args)`` on every tuple.  ``None`` means the
-    premise is unmet, ``MembershipUndecided`` (which no word-calculus
-    operation raises) is counted and skipped, and a falsy result is a
-    counterexample whose witness is the text of its arguments.  ``checked``
-    and ``undecided`` start from counts the caller made outside the stream."""
-    hits = 0
+    premise is unmet, ``MembershipUndecided`` is counted and skipped, and a
+    falsy result is a counterexample whose witness is the text of its
+    arguments.  ``checked`` starts from a count the caller made outside the
+    stream."""
+    hits = undecided = 0
     witnesses = []
     for args in tuples:
         checked += 1
@@ -267,12 +274,9 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
     Both scans read one commutation table.  ``[u, v] = e`` iff ``[u^-1, v] =
     e`` iff ``[u, v^-1] = e``, and the ball's normal forms are closed under
     inverse, so one ``commutes`` answer is stored under all eight ordered
-    pairs ``(u^±1, v^±1)`` and their reverses.  The word calculus decides
-    every commutation; should every pair of an inverse orbit raise
-    ``MembershipUndecided``, every lookup of the orbit raises.  The
-    conclusion reads the third element ``a`` only through its eligibility,
-    so eligibility is kept per ``a`` and ``_shared_root`` runs once per
-    commuting pair.
+    pairs ``(u^±1, v^±1)`` and their reverses.  The conclusion reads the
+    third element ``a`` only through its eligibility, so eligibility is kept
+    per ``a`` and ``_shared_root`` runs once per commuting pair.
     """
     ball = enumerate_ball(spec, tower)
     inv = {x: nf_word(x.inverse(), tower) for x in ball}
@@ -283,14 +287,7 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
         if answer is None:
             signs = ((u, v), (inv[u], v), (u, inv[v]), (inv[u], inv[v]))
             orbit = [pair for p, q in signs for pair in ((p, q), (q, p))]
-            for x, y in orbit:
-                try:
-                    answer = commutes(x, y, tower)
-                    break
-                except MembershipUndecided as exc:
-                    error = exc
-            else:
-                raise error
+            answer = commutes(u, v, tower)
             table.update(dict.fromkeys(orbit, answer))
         return answer
 
@@ -308,16 +305,9 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
             shared[w, c] = _shared_root(tower, w, c, a)
         return shared[w, c]
 
-    undecided = 0
-    pairs = []
-    for w, c in _tuples(ball, 2, spec):
-        try:
-            if commuting(w, c):
-                pairs.append((w, c))
-        except MembershipUndecided:
-            undecided += 1
+    pairs = [(w, c) for w, c in _tuples(ball, 2, spec) if commuting(w, c)]
     triples = ((w, c, a) for w, c in pairs for a in ball)
-    return _scan("cent", triples, centralized, undecided=undecided)
+    return _scan("cent", triples, centralized)
 
 
 def check_cykr(spec: BallSpec, tower: ExtensionTower, power_bound: int = 3) -> OracleVerdict:

@@ -5,6 +5,7 @@ from functools import partial
 import pytest
 
 from grouptower import oracles
+from grouptower.cli import main
 from grouptower.words import parse_word
 from grouptower.tower import ExtensionTower, MembershipUndecided, ball_words, nf_word
 from grouptower.oracles import (
@@ -230,9 +231,14 @@ class TestScanDriver:
         assert verdict.witnesses == (("g0", "3"),)
 
     def test_outcomes_without_witnesses(self):
+        def raises_at_two(k):
+            if k == 2:
+                raise MembershipUndecided("no certificate")
+            return True
+
         assert _scan("demo", [(1,), (2,)], lambda k: None).outcome == VACUOUS
         assert _scan("demo", [(1,)], lambda k: True).outcome == PASS
-        assert _scan("demo", [(1,)], lambda k: True, undecided=1).outcome == UNDECIDED
+        assert _scan("demo", [(1,), (2,)], raises_at_two).outcome == UNDECIDED
         assert _scan("demo", [(1,)], lambda k: True, checked=5).checked == 6
 
 
@@ -240,16 +246,9 @@ def reference_cent(spec, tower):
     """check_cent without the commutation table: every commutator of the
     pair pre-scan and of every triple is normal-formed afresh."""
     ball = ball_words(tower, spec.radius)
-    undecided = 0
-    pairs = []
-    for w, c in _tuples(ball, 2, spec):
-        try:
-            if oracles.commutes(w, c, tower):
-                pairs.append((w, c))
-        except MembershipUndecided:
-            undecided += 1
+    pairs = [(w, c) for w, c in _tuples(ball, 2, spec) if oracles.commutes(w, c, tower)]
     triples = ((w, c, a) for w, c in pairs for a in ball)
-    return _scan("cent", triples, partial(common_cyclic_centralizer, tower), undecided=undecided)
+    return _scan("cent", triples, partial(common_cyclic_centralizer, tower))
 
 
 def inverse_orbit(u, v, tower):
@@ -308,21 +307,11 @@ class TestCentCommutationTable:
             assert max(calls.values()) == 1
             assert verdict == reference_cent(self.SPEC, tower)
 
-    def test_pair_undecided_in_both_orders_counts_as_today(self, monkeypatch):
-        # an orbit is undecided only when every pair in it raises
+    def test_raise_filling_the_table_stops_lemmas(self, monkeypatch, capsys):
+        # the pair pre-scan runs outside the scan driver, so a raise there
+        # is a defect: the run stops instead of counting an undecided pair
         undecided_on(inverse_orbit(*self.PAIR, FREEZ), monkeypatch)
-        verdict = check_cent(self.SPEC, FREEZ)
-        assert verdict.outcome == UNDECIDED
-        assert verdict == reference_cent(self.SPEC, FREEZ)
-
-    def test_pair_undecided_in_its_own_orders_is_decided(self, monkeypatch):
-        plain = check_cent(self.SPEC, FREEZ)
-        undecided_on({self.PAIR, self.PAIR[::-1]}, monkeypatch)
-        assert reference_cent(self.SPEC, FREEZ).undecided > 0
-        assert check_cent(self.SPEC, FREEZ) == plain
-
-    def test_pair_undecided_in_one_order_is_decided(self, monkeypatch):
-        plain = check_cent(self.SPEC, FREEZ)
-        undecided_on({self.PAIR}, monkeypatch)
-        assert reference_cent(self.SPEC, FREEZ).undecided > 0
-        assert check_cent(self.SPEC, FREEZ) == plain
+        assert main(["lemmas", "--radius", "2", "--format", "structured"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
