@@ -132,7 +132,6 @@ class ConstructionState:
     x: Word
     radius: int
     power_bound: int
-    g0_mode: str
     base_steps: int                      # steps belonging to the seed group
     ledger: ConjugacyLedger
     z_record: tuple[tuple[Word, Word], ...] = ()   # nf(y) -> chosen witness z_y
@@ -224,7 +223,6 @@ def initial_state(radius: int = 2, power_bound: int = 4, g0_mode: str = "free") 
         x=x,
         radius=radius,
         power_bound=power_bound,
-        g0_mode=g0_mode,
         base_steps=tower.num_steps,
         ledger=ConjugacyLedger(x),
     )

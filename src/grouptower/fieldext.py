@@ -78,9 +78,6 @@ class BivariatePoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -106,19 +103,6 @@ class BivariatePoly:
     def evaluate(self, alpha, beta) -> Fraction:
         alpha, beta = Fraction(alpha), Fraction(beta)
         return sum((v * alpha**i * beta**j for (i, j), v in self.coeffs), Fraction(0))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for (i, j), v in self.coeffs:
-            part = [] if v == 1 and (i or j) else [str(v)]
-            if i:
-                part.append("a" if i == 1 else f"a^{i}")
-            if j:
-                part.append("b" if j == 1 else f"b^{j}")
-            terms.append("*".join(part))
-        return " + ".join(terms)
 
 
 @dataclass(frozen=True)
@@ -176,8 +160,8 @@ class SquareMatrix:
         return SquareMatrix(tuple(rows))
 
     @classmethod
-    def identity(cls, n: int, one=Fraction(1), zero=Fraction(0)) -> "SquareMatrix":
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+    def identity(cls, n: int) -> "SquareMatrix":
+        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
 
     def format_rows(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)

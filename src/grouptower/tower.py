@@ -32,11 +32,11 @@ the next, so the engine works at the highest stage its arguments reach and
 keeps the result in that stage's memo.  A tower made by
 ``extend_free``, ``extend_hnn`` or ``truncate`` shares the memos of the
 stages it has in common with the tower it came from, so an extension reuses
-its prefix's work.  The ``cache_info()`` of ``_reduce``, ``_nf``, ``_coset``,
-``_table``, ``cyclically_reduce``, ``minimal_root`` and ``ball_words`` counts
-hits and misses over every tower so far (a call on a stage-0 word, its own
-result, is a miss) and entries over the live towers only.  ``_nf_product``
-is not memoized, so products add no entries and are counted nowhere.
+its prefix's work.  The ``cache_info()`` of ``_nf``, ``_coset``, ``_table``,
+``cyclically_reduce``, ``minimal_root`` and ``ball_words`` counts hits and
+misses over every tower so far (a call on a stage-0 word, its own result, is
+a miss) and entries over the live towers only.  ``_nf_product`` is not
+memoized, so products add no entries and are counted nowhere.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ from .words import (
 BOUND_FLOOR = 16
 
 # entries per memo table of one stage; a full table drops its older half
-REDUCE_BOUND = NF_BOUND = 1 << 20
+NF_BOUND = 1 << 20
 COSET_BOUND = CYCLIC_BOUND = 1 << 18
 ROOT_BOUND = 1 << 16
 
@@ -110,15 +110,15 @@ class ExtensionStep:
 class _StageMemo:
     """The memo tables of one tower stage, one dict each.
 
-    ``reduce``, ``nf``, ``coset`` and ``powers`` hold the results whose
-    arguments reach this stage and no higher.  Such a result depends only on
-    the tower up to this stage, so every tower holding the memo shares it.
+    ``nf``, ``coset`` and ``powers`` hold the results whose arguments reach
+    this stage and no higher.  Such a result depends only on the tower up to
+    this stage, so every tower holding the memo shares it.
     ``cyclic``, ``roots`` and ``balls`` hold the results of the tower whose
     top stage this is.  A memo refers to no tower, so it is freed as soon as
     the last tower holding it is.
     """
 
-    __slots__ = ("reduce", "nf", "coset", "powers", "cyclic", "roots", "balls", "__weakref__")
+    __slots__ = ("nf", "coset", "powers", "cyclic", "roots", "balls", "__weakref__")
 
     def __init__(self) -> None:
         for name in self.__slots__[:-1]:
@@ -163,7 +163,6 @@ class _Table:
         return CacheInfo(self.hits, self.misses, self.bound, len(self))
 
 
-_REDUCE = _Table("reduce", REDUCE_BOUND)
 _NF = _Table("nf", NF_BOUND)
 _COSET = _Table("coset", COSET_BOUND)
 _CYCLIC = _Table("cyclic", CYCLIC_BOUND)
@@ -204,11 +203,10 @@ def _memoized(cache: _Table, locate):
     return decorate
 
 
-def _at_stage(word: Word, tower: ExtensionTower, *flags):
-    """The memo of the top stage of ``word``, keyed by the word (with
-    ``flags`` when there are any); None at stage 0."""
+def _at_stage(word: Word, tower: ExtensionTower):
+    """The memo of the top stage of ``word``, keyed by it; None at stage 0."""
     s = max_stage(word)
-    return (tower._memos[s], (word, *flags) if flags else word) if s else None
+    return (tower._memos[s], word) if s else None
 
 
 def _at_top(w: Word, tower: ExtensionTower):
@@ -391,10 +389,11 @@ def _pinch_free(word: Word, tower: ExtensionTower, s: int, leftmost: bool, rewri
         del signs[i : i + 2]
 
 
-@_memoized(_REDUCE, _at_stage)
 def _reduce(word: Word, tower: ExtensionTower, leftmost: bool) -> Word:
     """Eliminate pinches and stable-letter cancellations."""
-    s = max_stage(word)  # >= 1: the memo returns stage-0 words
+    s = max_stage(word)
+    if not s:
+        return word
     segments, signs = _pinch_free(word, tower, s, leftmost, lambda seg: _reduce(seg, tower, leftmost))
     return _assemble(segments, signs, s) if signs else segments[0]
 
@@ -713,7 +712,13 @@ def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
 
     Rotating by a prefix conjugates, so whenever some rotation still reduces
     we take it and remember the prefix; each pass strictly shrinks the
-    stage-count measure, so this terminates.
+    stage-count measure, so this terminates.  ``c`` is pinch-free, so a
+    rotation reduces only across its wrap: its ends cancel (alike for every
+    prefix), its wrap segment is not pinch-free (only for prefixes before
+    the first top-stage letter), or the last and first top letters pinch
+    (alike for every prefix from there to the last).  Past the last top
+    letter the wrap segment is a subword of an earlier one, so no prefix
+    more than one unit past the first top letter reduces first.
     """
     tower.validate_word(w)
     c = _reduce(w, tower, True)
@@ -722,7 +727,9 @@ def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
     while changed:
         changed = False
         units = c.units()
-        for j in range(1, len(units)):
+        s = max_stage(c)
+        first = next(i for i, lt in enumerate(units) if lt.kind == STABLE and lt.index == s) if s else 0
+        for j in range(1, min(first + 2, len(units))):
             rotated = Word(units[j:] + units[:j])
             red = _reduce(rotated, tower, True)
             # rotation may already cancel at the wrap when re-merged
@@ -745,7 +752,7 @@ def is_conjugate_into_base(w: Word, tower: ExtensionTower) -> bool:
     if not top:
         raise ValueError("a tower without steps has no stage below its top")
     c, _ = cyclically_reduce(w, tower)
-    return all(lt.kind != STABLE or lt.index < top for lt in c.letters)
+    return max_stage(c) < top
 
 
 def _free_root(c: Word) -> tuple[Word, int]:
