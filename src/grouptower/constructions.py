@@ -9,11 +9,13 @@ criteria share it.
 
 The scheduled construction alternates free-product steps with cyclic-edge
 steps ``t x t^-1 = z`` that conjugate a fixed element ``x`` onto queued
-witnesses ``z``, chosen oldest-first.  A ledger tracks which elements are
-certified conjugate to a power of ``x`` so far; condition checks probe, at
-bounded radius, that each step grew the group, kept centralizers of ledger
-elements inside the previous stage, preserved the root-rigidity property of
-non-ledger elements, and made monotone conjugation progress.
+witnesses ``z``, chosen oldest-first.  A ledger keyed by :func:`cyclic_key`
+tracks which elements are certified conjugate to a power of ``x`` so far,
+so a queued witness's own key answers whether it is certified; condition
+checks probe, at bounded radius, that each step grew the group, kept
+centralizers of ledger elements inside the previous stage, preserved the
+root-rigidity property of non-ledger elements, and made monotone
+conjugation progress.
 :func:`build_suite` runs the construction and these checks; the CLI and the
 acceptance criteria share it.
 
@@ -24,7 +26,7 @@ conjugations and every certificate is replayable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .oracles import _scan
@@ -54,13 +56,6 @@ class InsufficientPairs(Exception):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    key: Word          # canonical cyclic form of the certified element
-    conjugator: Word   # c with  c x^power c^-1 == key
-    power: int         # nonzero; negative powers certify inverses
-
-
 def cyclic_key(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
     """Canonical representative of the cyclic word of ``w``.
 
@@ -82,14 +77,17 @@ def cyclic_key(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
 
 @dataclass(frozen=True)
 class ConjugacyLedger:
-    """Certificates for elements known conjugate to powers of ``x``."""
+    """Certificates for elements known conjugate to powers of ``x``: the
+    cyclic key of each, in the order certified, maps to ``(c, power)`` with
+    ``c x^power c^-1 == key`` and ``power != 0``.  Like
+    :attr:`ClassicalState.pair_stage`, no dict is mutated after its ledger
+    is built."""
 
     x: Word
-    entries: tuple[LedgerEntry, ...] = ()
+    entries: dict[Word, tuple[Word, int]] = field(default_factory=dict)
 
     def contains(self, w: Word, tower: ExtensionTower) -> bool:
-        key, _ = cyclic_key(w, tower)
-        return any(e.key == key for e in self.entries)
+        return cyclic_key(w, tower)[0] in self.entries
 
     def with_element(self, y: Word, conjugator: Word, power: int, tower: ExtensionTower) -> "ConjugacyLedger":
         """Record ``y == conjugator x^power conjugator^-1`` (verified here)."""
@@ -99,15 +97,15 @@ class ConjugacyLedger:
         if check != nf_word(y, tower):
             raise ValueError(f"certificate does not verify: {conjugator}, {power} vs {y}")
         key, carrier = cyclic_key(y, tower)
-        if any(e.key == key for e in self.entries):
+        if key in self.entries:
             return self
-        cert = LedgerEntry(key, nf_word(carrier.inverse() * conjugator, tower), power)
-        return ConjugacyLedger(self.x, self.entries + (cert,))
+        cert = (nf_word(carrier.inverse() * conjugator, tower), power)
+        return ConjugacyLedger(self.x, {**self.entries, key: cert})
 
     def verify(self, tower: ExtensionTower) -> bool:
         return all(
-            nf_word(e.conjugator * self.x ** e.power * e.conjugator.inverse(), tower) == e.key
-            for e in self.entries
+            nf_word(c * self.x ** power * c.inverse(), tower) == key
+            for key, (c, power) in self.entries.items()
         )
 
     def __len__(self) -> int:
@@ -123,7 +121,8 @@ class ConjugacyLedger:
 class QueueEntry:
     creation_stage: int
     witness: Word      # the pending conjugation target z
-    key: Word          # cyclic key of z, used for deduplication
+    key: Word          # cyclic key of z, for deduplication and the ledger test;
+                       # it depends only on the stages z reaches
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ class ConstructionState:
     power_bound: int
     base_steps: int                      # steps belonging to the seed group
     ledger: ConjugacyLedger
-    z_record: tuple[tuple[Word, Word], ...] = ()   # nf(y) -> chosen witness z_y
+    z_record: dict[Word, Word] = field(default_factory=dict)  # nf(y) -> chosen witness z_y
     z_queue: tuple[QueueEntry, ...] = ()
     consumed: tuple[tuple[int, Word], ...] = ()
     fractions: tuple[tuple[float, float], ...] = ()  # (seed-ball fraction, current-ball fraction)
@@ -146,20 +145,6 @@ class ConstructionState:
     def power_window(self) -> int:
         return max(self.radius, self.power_bound) + 2
 
-    def recorded_witness(self, y_nf: Word) -> Word | None:
-        for k, z in self.z_record:
-            if k == y_nf:
-                return z
-        return None
-
-
-def _ledger_fractions(state: ConstructionState) -> tuple[float, float]:
-    seed = [w for w in ball_words(state.tower.truncate(state.base_steps), state.radius) if w]
-    cur = [w for w in ball_words(state.tower, state.radius) if w]
-    in_seed = sum(1 for w in seed if state.ledger.contains(w, state.tower))
-    in_cur = sum(1 for w in cur if state.ledger.contains(w, state.tower))
-    return (in_seed / len(seed) if seed else 1.0, in_cur / len(cur) if cur else 1.0)
-
 
 def z_witness(y: Word, state: ConstructionState) -> Word:
     """The stable conjugation target for ``y``: its minimal root, recorded on
@@ -170,20 +155,24 @@ def z_witness(y: Word, state: ConstructionState) -> Word:
         raise PreconditionViolated("z witnesses exist only for nonidentity elements")
     if state.ledger.contains(y_nf, tower):
         raise PreconditionViolated("element is already certified conjugate to x")
-    recorded = state.recorded_witness(y_nf)
-    if recorded is not None:
-        return recorded
-    return root_witness(y_nf, tower)
+    recorded = state.z_record.get(y_nf)
+    return root_witness(y_nf, tower) if recorded is None else recorded
 
 
 def _scan_witnesses(state: ConstructionState) -> ConstructionState:
-    """Enqueue witnesses for ball elements not yet certified conjugate to x."""
+    """Enqueue witnesses for ball elements not yet certified conjugate to x,
+    and append the certified fractions of the seed ball and of the ball;
+    normal forms are stage-local, so the seed ball lies in the ball."""
     tower = state.tower
+    ledger = state.ledger
     record = dict(state.z_record)
     queued = {entry.key for entry in state.z_queue}
     fresh: list[QueueEntry] = []
-    for y in ball_words(tower, state.radius):
-        if not y or state.ledger.contains(y, tower):
+    ball = [y for y in ball_words(tower, state.radius) if y]
+    certified: set[Word] = set()
+    for y in ball:
+        if ledger.contains(y, tower):
+            certified.add(y)
             continue
         if y in record:
             continue
@@ -193,15 +182,18 @@ def _scan_witnesses(state: ConstructionState) -> ConstructionState:
             continue
         record[y] = z
         key, _ = cyclic_key(z, tower)
-        if key in queued or state.ledger.contains(z, tower):
+        if key in queued or key in ledger.entries:
             continue
         queued.add(key)
         fresh.append(QueueEntry(state.stage, nf_word(z, tower), key))
     fresh.sort(key=lambda e: sort_key(e.witness))
+    seed = [y for y in ball_words(tower.truncate(state.base_steps), state.radius) if y]
+    fractions = tuple(sum(y in certified for y in part) / len(part) if part else 1.0 for part in (seed, ball))
     return replace(
         state,
-        z_record=tuple(sorted(record.items(), key=lambda kv: sort_key(kv[0]))),
+        z_record=record,
         z_queue=state.z_queue + tuple(fresh),
+        fractions=state.fractions + (fractions,),
     )
 
 
@@ -230,9 +222,7 @@ def initial_state(radius: int = 2, power_bound: int = 4, g0_mode: str = "free") 
     for n in range(1, state.power_window() + 1):
         ledger = ledger.with_element(x ** n, IDENTITY, n, tower)
         ledger = ledger.with_element(x ** -n, IDENTITY, -n, tower)
-    state = replace(state, ledger=ledger)
-    state = _scan_witnesses(state)
-    return replace(state, fractions=(_ledger_fractions(state),))
+    return _scan_witnesses(replace(state, ledger=ledger))
 
 
 def tower_step(state: ConstructionState) -> ConstructionState:
@@ -250,7 +240,7 @@ def tower_step(state: ConstructionState) -> ConstructionState:
         chosen = None
         remaining: list[QueueEntry] = []
         for entry in queue:
-            if chosen is None and not ledger.contains(entry.witness, tower):
+            if chosen is None and entry.key not in ledger.entries:
                 chosen = entry
             else:
                 remaining.append(entry)
@@ -265,15 +255,13 @@ def tower_step(state: ConstructionState) -> ConstructionState:
                 ledger = ledger.with_element(nf_word(z ** n, new_tower), t_word, n, new_tower)
                 ledger = ledger.with_element(nf_word(z ** -n, new_tower), t_word, -n, new_tower)
             consumed = consumed + ((idx, z),)
-    state = replace(
+    return _scan_witnesses(replace(
         state,
         tower=new_tower,
         ledger=ledger,
         z_queue=tuple(queue),
         consumed=consumed,
-    )
-    state = _scan_witnesses(state)
-    return replace(state, fractions=state.fractions + (_ledger_fractions(state),))
+    ))
 
 
 def run_construction(stages: int, **kwargs) -> ConstructionState:

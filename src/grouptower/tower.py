@@ -29,7 +29,8 @@ still shorten a coset representative.  No operation here raises
 Every memoized result belongs to a tower: the tower holds one memo per
 stage, and dropping the tower frees its memos.  Each stage group embeds in
 the next, so the engine works at the highest stage its arguments reach and
-keeps the result in that stage's memo.  A tower made by
+keeps the result in that stage's memo; only a ball, which enumerates every
+letter of its tower, stays in the memo of the tower's top.  A tower made by
 ``extend_free``, ``extend_hnn`` or ``truncate`` shares the memos of the
 stages it has in common with the tower it came from, so an extension reuses
 its prefix's work.  The ``cache_info()`` of ``_nf``, ``_coset``, ``_table``,
@@ -110,12 +111,12 @@ class ExtensionStep:
 class _StageMemo:
     """The memo tables of one tower stage, one dict each.
 
-    ``nf``, ``coset`` and ``powers`` hold the results whose arguments reach
-    this stage and no higher.  Such a result depends only on the tower up to
-    this stage, so every tower holding the memo shares it.
-    ``cyclic``, ``roots`` and ``balls`` hold the results of the tower whose
-    top stage this is.  A memo refers to no tower, so it is freed as soon as
-    the last tower holding it is.
+    ``nf``, ``coset``, ``powers``, ``cyclic`` and ``roots`` hold the results
+    whose arguments reach this stage and no higher.  Such a result depends
+    only on the tower up to this stage, so every tower holding the memo
+    shares it.  ``balls`` holds the balls of the tower whose top stage this
+    is.  A memo refers to no tower, so it is freed as soon as the last tower
+    holding it is.
     """
 
     __slots__ = ("nf", "coset", "powers", "cyclic", "roots", "balls", "__weakref__")
@@ -209,9 +210,10 @@ def _at_stage(word: Word, tower: ExtensionTower):
     return (tower._memos[s], word) if s else None
 
 
-def _at_top(w: Word, tower: ExtensionTower):
-    """The memo of the tower's top stage, keyed by ``w``."""
-    return tower._memos[-1], w
+def _at_any_stage(w: Word, tower: ExtensionTower):
+    """The memo of the top stage of ``w``, keyed by ``w``; above the tower's
+    top, the top memo, where ``w`` misses and validation rejects it."""
+    return tower._memos[min(max_stage(w), len(tower.steps))], w
 
 
 @dataclass(frozen=True, eq=False)
@@ -706,7 +708,7 @@ def coset_rep(a: Word, generator: Word, tower: ExtensionTower) -> tuple[int, Wor
     return _coset(a, generator, tower)
 
 
-@_memoized(_CYCLIC, _at_top)
+@_memoized(_CYCLIC, _at_any_stage)
 def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
     """Return ``(c, y)`` with ``w = y c y^-1`` and every rotation of ``c`` reduced.
 
@@ -756,11 +758,11 @@ def is_conjugate_into_base(w: Word, tower: ExtensionTower) -> bool:
 
 
 def _free_root(c: Word) -> tuple[Word, int]:
-    """Minimal root of a cyclically reduced relation-free word, by smallest
-    literal period of the unit sequence."""
+    """Minimal root of a cyclically reduced relation-free word: its shortest
+    proper literal period as a unit sequence, or the word itself."""
     units = c.units()
     n = len(units)
-    for p in range(1, n + 1):
+    for p in range(1, n):
         if n % p:
             continue
         cand = Word(units[:p])
@@ -769,7 +771,7 @@ def _free_root(c: Word) -> tuple[Word, int]:
     return c, 1
 
 
-@_memoized(_ROOTS, _at_top)
+@_memoized(_ROOTS, _at_any_stage)
 def minimal_root(a: Word, tower: ExtensionTower) -> tuple[Word, int]:
     """``(w, n)`` with ``w^n = a`` and ``w`` admitting no proper root.
 

@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import json
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from grouptower.constructions import build_suite, classical_suite
 from grouptower.fieldext import field_suite
 from grouptower.minstruct import minstruct_suite
 from grouptower.oracles import run_standard_suite, standard_towers
+from grouptower.report import RunReport
 from grouptower.tower import format_tower
 
 
@@ -164,6 +166,53 @@ class TestSubcommands:
         ]
         assert code == 0
         assert got == want
+
+
+class TestTextReport:
+    """The CLI's default output: the config echo, one marked line per check
+    with its scalar details and witnesses, the undecided total, and the
+    elapsed seconds, which only the text rendering carries."""
+
+    def test_passing_build(self):
+        code, out = run_cli(["build", "--stages", "1", "--radius", "1", "--check-candidates", "10"])
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[:2] == ["grouptower build", "  config check_candidates = 10"]
+        assert "PASS         condition-growth [pass] fresh_letter=t1" in lines
+        # a row whose only detail is a list shows no details
+        assert "PASS         condition-progress [pass]" in lines
+        checks = [line for line in lines if re.match(r"\S+ +\S+ \[", line)]
+        assert len(checks) == 6 and all(line.startswith("PASS ") for line in checks)
+        assert "witness:" not in out
+        assert lines[-2] == "undecided_total = 0"
+        assert re.fullmatch(r"elapsed_s = \d+\.\d\d", lines[-1])
+
+    def test_failing_build(self):
+        argv = ["build", "--stages", "1", "--radius", "1", "--g0-mode", "classical", "--check-candidates", "10"]
+        code, out = run_cli(argv)
+        report = build_suite(1, 1, 4, "classical", 10, 0)
+        assert code == report.exit_code == 1
+        # the text is the library report's, followed by the elapsed seconds
+        text = report.to_text()
+        assert out.startswith(text)
+        assert re.fullmatch(r"elapsed_s = \d+\.\d\d\n", out[len(text):])
+        assert "FAIL         condition-rigidity [counterexample] elements=36 undecided=0" in out
+        witnesses = [line for line in out.splitlines() if "witness:" in line]
+        assert witnesses and witnesses == [f"             witness: {w}" for c in report.checks for w in c.witnesses]
+
+    def test_undecided_total_and_other_verdicts(self):
+        report = RunReport("demo", {"b": 2, "a": 1})
+        report.add("sampled", "undecided", {"undecided": 3, "rows": [1, 2]})
+        report.add("scan", "vacuous_pass", {"undecided": 2})
+        assert report.to_text() == (
+            "grouptower demo\n"
+            "  config a = 1\n"
+            "  config b = 2\n"
+            "UNDECIDED    sampled [undecided] undecided=3\n"
+            "PASS         scan [vacuous_pass] undecided=2\n"
+            "undecided_total = 5\n"
+        )
+        assert report.exit_code == 0
 
 
 class TestDeterminism:

@@ -3,12 +3,14 @@ from dataclasses import replace
 import pytest
 
 from grouptower import constructions
+from grouptower import tower as tower_module
 from grouptower.cli import main
 from grouptower.words import parse_word, stable, max_stage
 from grouptower.tower import ExtensionTower, MembershipUndecided, ball_words, commutes, in_cyclic, nf_word
 from grouptower.constructions import (
     InsufficientPairs,
     PreconditionViolated,
+    QueueEntry,
     _candidate_pool,
     build_suite,
     check_conditions,
@@ -110,6 +112,12 @@ class TestLedger:
     def test_certificates_replay(self, six_stage):
         assert six_stage.ledger.verify(six_stage.tower)
 
+    def test_a_conjugate_of_a_certified_element_adds_no_entry(self):
+        # g1 g0 g1^-1 has the cyclic key of g0
+        state = initial_state(radius=1, power_bound=2)
+        ledger = state.ledger
+        assert ledger.with_element(W("g1 g0 g1^-1"), W("g1"), 1, state.tower) is ledger
+
     def test_rejects_wrong_certificate(self):
         state = initial_state(radius=1, power_bound=2)
         with pytest.raises(ValueError):
@@ -157,6 +165,21 @@ class TestTowerStep:
         assert all(a <= b for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] == 1.0
 
+    def test_an_even_step_with_only_ledgered_witnesses_is_free(self):
+        state = tower_step(initial_state(radius=1, power_bound=2))
+        square = nf_word(W("g0^2"), state.tower)
+        queued = QueueEntry(0, square, cyclic_key(square, state.tower)[0])
+        state = tower_step(replace(state, z_queue=(queued,)))
+        assert state.tower.steps[-1].is_free
+        assert state.consumed == () and state.z_queue[0] == queued
+
+    def test_a_step_reduces_only_the_ball_elements_with_its_letter(self, six_stage):
+        # cyclic reductions live at their argument's stage, so the earlier
+        # ball elements are reduced already; 68 radius-2 elements involve t7
+        misses = tower_module.cyclically_reduce.cache_info().misses
+        tower_step(six_stage)
+        assert tower_module.cyclically_reduce.cache_info().misses - misses <= 68
+
     def test_classical_seed_mode(self):
         state = initial_state(radius=1, power_bound=2, g0_mode="classical")
         assert state.base_steps == 16
@@ -174,6 +197,28 @@ class TestTowerStep:
         stages = [created[cyclic_key(z, state.tower)[0]] for _, z in state.consumed]
         assert stages == sorted(stages)
         assert len(state.consumed) >= 3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the ledger keys witnesses by rotation class, not by conjugacy class")
+def test_no_step_conjugates_x_onto_a_conjugate_of_an_earlier_witness():
+    # the default schedule: step 20 takes g0 t2, and step 26 takes
+    # g1 t2 = g0^-1 (g0 t2) g0, because t2 g0 t2^-1 = g1
+    state = initial_state()
+    found = []
+    for _ in range(26):
+        before, state = state, tower_step(state)
+        if state.consumed == before.consumed:
+            continue
+        step, z = state.consumed[-1]
+        tower = before.tower
+        found += [
+            (step, str(b), str(earlier))
+            for _, earlier in before.consumed
+            for b in ball_words(tower, 1)
+            if nf_word(b * earlier * b.inverse(), tower) == z
+        ]
+    assert found == []
 
 
 class TestZWitness:

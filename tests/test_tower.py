@@ -712,6 +712,15 @@ class TestMinimalRoot:
         with pytest.raises(PreconditionViolated):
             minimal_root(W("e"), MIXED)
 
+    @pytest.mark.parametrize("word, root", [
+        ("g0 g1^2", "g0 g1^2"),
+        ("g0 g1^-1 g0 g1^-1 g0 g1^-1", "g0 g1^-1"),
+        ("g1 g0 g1^-1 g0 g1^-2", "g1 g0 g1^-2"),
+        ("g0 g1 g0^-1 g1^-1 g0 g1 g0^-1 g1^-1", "g0 g1 g0^-1 g1^-1"),
+    ], ids=["primitive", "cube", "conjugated-square", "commutator-square"])
+    def test_base_roots_by_literal_period(self, word, root):
+        assert root_witness(W(word), FREEZ) == W(root)
+
     @pytest.mark.xfail(strict=True, reason="a stage-0 cyclic core is read as having no root outside the base")
     def test_base_word_with_a_root_outside_the_base(self):
         # g0 = (t1^-1 g1 t1)^2, so g0 is no minimal root of itself
@@ -871,6 +880,33 @@ class TestCacheOwnership:
         g = W("g1 t1")
         for tower in (base.extend_hnn(W("g1"), W("g0")), base.extend_hnn(W("g0"), W("g1"))):
             assert tower_module._power_word(g, 2, tower) == nf_word(g ** 2, parse_tower(format_tower(tower)))
+
+    def test_an_extension_reuses_its_prefix_cyclic_reductions_and_roots(self):
+        # both results depend only on the stages their argument reaches, so
+        # they live in that stage's memo, which every extension holds
+        base = ExtensionTower(2).extend_hnn(W("g0"), W("g1^2"))
+        words = [nf_word(w, base) for w in random_words(base, 80, 8, seed=71)]
+        words = [w for w in words if max_stage(w) == 1 and not is_conjugate_into_base(w, base)]
+        assert len(words) >= 20
+        reductions = [cyclically_reduce(w, base) for w in words]
+        roots = [minimal_root(w, base) for w in words]
+        misses = (cyclically_reduce.cache_info().misses, minimal_root.cache_info().misses)
+        for tower in (base.extend_free(), base.extend_hnn(W("t1"), W("g0")), base.extend_free().truncate(1)):
+            assert [cyclically_reduce(w, tower) for w in words] == reductions
+            assert [minimal_root(w, tower) for w in words] == roots
+        assert (cyclically_reduce.cache_info().misses, minimal_root.cache_info().misses) == misses
+
+    def test_a_warm_memo_still_rejects_a_word_above_the_top(self):
+        # t2 g1 is memoized at stage 2, which the truncated towers lack
+        tower = ExtensionTower(2).extend_free().extend_hnn(W("g0"), W("t1 g1"))
+        w = W("t2 g1")
+        cyclically_reduce(w, tower)
+        minimal_root(w, tower)
+        for short in (tower.truncate(1), tower.truncate(0)):
+            with pytest.raises(ValueError, match="t2"):
+                cyclically_reduce(w, short)
+            with pytest.raises(ValueError, match="t2"):
+                minimal_root(w, short)
 
     def test_normal_forms_do_not_go_through_britton_reduction(self, monkeypatch):
         # single base runs as edge words: membership, cosets and powers are
