@@ -365,10 +365,9 @@ def check_conditions(
             commuting[key] = commutes(k, y, tower)
         return commuting[key]
 
-    def escapes(y: Word, k: Word) -> bool | None:
-        """Premise: normal form ``k`` involves the newest letter.  Conclusion: ``k y != y k``."""
-        if max_stage(k) != top:
-            return None
+    def escapes(y: Word, k: Word) -> bool:
+        """Premise: normal form ``k`` involves the newest letter (only such
+        candidates are scanned).  Conclusion: ``k y != y k``."""
         # a k that does not commute with y^2 does not commute with y
         if y in squares and not commute(k, squares[y]):
             return True
@@ -396,10 +395,12 @@ def check_conditions(
             within[subgroup, w] = _member_nf(w, z, tower) is not None
         return within[subgroup, w]
 
+    # every other candidate fails the premise for every y
+    newest = [(k,) for k in pool if max_stage(k) == top]
     centralizer_witnesses: list[str] = []
     centralizer_undecided = 0
     for y in ledger_ball:
-        verdict = _scan("condition-centralizers", ((k,) for k in pool), partial(escapes, y))
+        verdict = _scan("condition-centralizers", newest, partial(escapes, y), checked=len(pool) - len(newest))
         centralizer_witnesses += [f"centralizer:{y}:{k}" for k, in verdict.witnesses[:4]]
         centralizer_undecided += verdict.undecided
 

@@ -19,13 +19,16 @@ all of the element's rigidity tuples count as undecided.  A raise from any
 other exact engine call is a defect: nothing catches it, and the CLI stops
 with ``error:`` and exit 2.
 
-The hot scans decide premises by group-axiom identities, never by the lemma
-under test: ``aabb`` compares cached squares (``abba = e`` iff
-``b^2 = a^-2``), ``cent`` tests one commutation per inverse orbit
-(``[u, v] = e`` iff ``[u^-1, v] = e``) and draws one shared-root conclusion
-per commuting pair, and ``nn`` and ``jsc`` compare cached powers.  The
-predicate functions stay as the per-tuple replay reference, and every tuple
-is still counted.
+The hot scans decide premises from cached tables, never by the lemma under
+test, and hand ``_scan`` only the tuples that meet them, in scan order; the
+other tuples are counted by arithmetic as ``checked``.  ``aabb`` compares
+cached squares per pair (``abba = e`` iff ``b^2 = a^-2``).  ``cent`` tests
+one commutation per inverse orbit (``[u, v] = e`` iff ``[u^-1, v] = e``),
+keeps per pair element a bitmask of the eligible ball elements commuting
+with it, and draws one shared-root conclusion per commuting pair.  ``nn``
+and ``jsc`` read equal powers from an index of cached power words, and
+``dodatkowy`` decides each element's eligibility once.  The predicate
+functions stay as the per-tuple replay reference.
 """
 from __future__ import annotations
 
@@ -139,6 +142,15 @@ def _scan(lemma_id: str, tuples, predicate, checked: int = 0) -> OracleVerdict:
     else:
         outcome = PASS
     return OracleVerdict(lemma_id, outcome, tuple(witnesses), checked, hits, undecided)
+
+
+def _scan_hits(lemma_id: str, groups, per_group: int, hits_of, predicate, checked: int = 0) -> OracleVerdict:
+    """``_scan`` over premise hits only.  Each group stands for ``per_group``
+    tuples, of which ``hits_of(*group)`` yields, in scan order, those that
+    meet the premise; the others are counted as checked."""
+    groups = list(groups)
+    hits = [hit for group in groups for hit in hits_of(*group)]
+    return _scan(lemma_id, hits, predicate, checked + len(groups) * per_group - len(hits))
 
 
 def _eligible(w: Word, tower: ExtensionTower) -> bool:
@@ -258,13 +270,14 @@ def check_aabb(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
     return _scan("aabb", _tuples(enumerate_ball(spec, tower), 2, spec), conjugate_into_base)
 
 
-def _with_powers(ball, power_bound: int):
-    return ((w, n) for w in ball for n in range(1, power_bound + 1))
-
-
 def check_dodatkowy(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> OracleVerdict:
+    """``powers_stay_outside`` on every ``(a, n)``, with each element's
+    eligibility decided once and its powers read from ``_power_profiles``."""
     ball = enumerate_ball(spec, tower)
-    return _scan("dodatkowy", _with_powers(ball, power_bound), partial(powers_stay_outside, tower))
+    powers = _power_profiles(ball, tower, power_bound, rootless_only=False)
+    hits = ((a, n) for a in powers for n in range(1, power_bound + 1))
+    ineligible = (len(ball) - len(powers)) * power_bound
+    return _scan("dodatkowy", hits, lambda a, n: _eligible(powers[a][n - 1], tower), checked=ineligible)
 
 
 def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
@@ -275,8 +288,10 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
     e`` iff ``[u, v^-1] = e``, and the ball's normal forms are closed under
     inverse, so one ``commutes`` answer is stored under all eight ordered
     pairs ``(u^±1, v^±1)`` and their reverses.  The conclusion reads the
-    third element ``a`` only through its eligibility, so eligibility is kept
-    per ``a`` and ``_shared_root`` runs once per commuting pair.
+    third element ``a`` only through its eligibility, so a triple meets the
+    premise for exactly the eligible ``a`` commuting with both ``w`` and
+    ``c``: the bits of ``mask(w) & mask(c)``, in ball order.
+    ``_shared_root`` runs once per commuting pair.
     """
     ball = enumerate_ball(spec, tower)
     inv = {x: nf_word(x.inverse(), tower) for x in ball}
@@ -291,28 +306,34 @@ def check_cent(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
             table.update(dict.fromkeys(orbit, answer))
         return answer
 
-    eligible: dict[Word, bool] = {}
+    pairs = [(w, c) for w, c in _tuples(ball, 2, spec) if commuting(w, c)]
+    # bit i of a mask stands for ball[i]
+    eligible = [i for i, a in enumerate(ball) if _eligible(a, tower)]
+    masks: dict[Word, int] = {}
+    for w in itertools.chain.from_iterable(pairs):
+        if w not in masks:
+            masks[w] = sum(1 << i for i in eligible if commuting(ball[i], w))
+
+    def triples(w: Word, c: Word):
+        bits = masks[w] & masks[c]
+        while bits:
+            low = bits & -bits
+            yield w, c, ball[low.bit_length() - 1]
+            bits ^= low
+
     shared: dict[tuple[Word, Word], bool] = {}
 
-    def centralized(w: Word, c: Word, a: Word) -> bool | None:
-        if not commuting(a, w) or not commuting(a, c):
-            return None
-        if a not in eligible:
-            eligible[a] = _eligible(a, tower)
-        if not eligible[a]:
-            return None
+    def centralized(w: Word, c: Word, a: Word) -> bool:
         if (w, c) not in shared:
             shared[w, c] = _shared_root(tower, w, c, a)
         return shared[w, c]
 
-    pairs = [(w, c) for w, c in _tuples(ball, 2, spec) if commuting(w, c)]
-    triples = ((w, c, a) for w, c in pairs for a in ball)
-    return _scan("cent", triples, centralized)
+    return _scan_hits("cent", pairs, len(ball), triples, centralized)
 
 
 def check_cykr(spec: BallSpec, tower: ExtensionTower, power_bound: int = 3) -> OracleVerdict:
-    ball = enumerate_ball(spec, tower)
-    return _scan("cykr", _with_powers(ball, power_bound), partial(root_of_cyclically_reduced_power, tower))
+    pairs = ((w, n) for w in enumerate_ball(spec, tower) for n in range(1, power_bound + 1))
+    return _scan("cykr", pairs, partial(root_of_cyclically_reduced_power, tower))
 
 
 def check_ip(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
@@ -322,47 +343,60 @@ def check_ip(spec: BallSpec, tower: ExtensionTower) -> OracleVerdict:
 def _power_profiles(ball, tower, power_bound, rootless_only):
     """Per eligible ball element: its normal-form powers up to the bound.
 
-    The hot pair scans only compare these precomputed words; the predicate
+    The hot scans only read these precomputed words; the predicate
     functions above stay as the replay reference.
     """
-    profiles = []
+    profiles = {}
     for a in ball:
         if not _eligible(a, tower):
             continue
         if rootless_only and minimal_root(a, tower)[1] != 1:
             continue
-        profiles.append((a, tuple(nf_word(a ** n, tower) for n in range(1, power_bound + 1))))
+        profiles[a] = tuple(nf_word(a ** n, tower) for n in range(1, power_bound + 1))
     return profiles
+
+
+def _power_matches(powers):
+    """Per profiled ``a`` and ``b``: the exponent pairs ``(n, m)`` with
+    ``a^n = b^m``, in order, read from an index of each power word to its
+    ``(element, exponent)`` pairs."""
+    index: dict[Word, list[tuple[Word, int]]] = {}
+    for b, words in powers.items():
+        for m, word in enumerate(words, 1):
+            index.setdefault(word, []).append((b, m))
+    matches = {}
+    for a, words in powers.items():
+        row = matches[a] = {}
+        for n, word in enumerate(words, 1):
+            for b, m in index[word]:
+                row.setdefault(b, []).append((n, m))
+    return matches
 
 
 def check_nn(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> OracleVerdict:
     ball = enumerate_ball(spec, tower)
-    powers = dict(_power_profiles(ball, tower, power_bound, rootless_only=False))
-    pool = tuple(powers)
+    powers = _power_profiles(ball, tower, power_bound, rootless_only=False)
+    matches = _power_matches(powers)
 
-    def equal_roots(a, b, n):
-        if powers[a][n - 1] != powers[b][n - 1]:
-            return None
-        return nf_word(a, tower) == nf_word(b, tower)
+    def equal_powers(a, b):
+        return ((a, b, n) for n, m in matches[a].get(b, ()) if n == m)
 
-    triples = ((a, b, n) for a, b in _tuples(pool, 2, spec) for n in range(1, power_bound + 1))
     # ineligible elements are checked too, with their premise unmet
-    ineligible = (len(ball) - len(pool)) * power_bound
-    return _scan("nn", triples, equal_roots, checked=ineligible)
+    ineligible = (len(ball) - len(powers)) * power_bound
+    pairs = _tuples(tuple(powers), 2, spec)
+    return _scan_hits("nn", pairs, power_bound, equal_powers, lambda a, b, n: a == b, checked=ineligible)
 
 
 def check_jsc(spec: BallSpec, tower: ExtensionTower, power_bound: int = 4) -> OracleVerdict:
     ball = enumerate_ball(spec, tower)
-    powers = dict(_power_profiles(ball, tower, power_bound, rootless_only=True))
-    exponents = range(1, power_bound + 1)
+    powers = _power_profiles(ball, tower, power_bound, rootless_only=True)
+    matches = _power_matches(powers)
 
-    def rigid(a, b, n, m):
-        if powers[a][n - 1] != powers[b][m - 1]:
-            return None
-        return n == m and nf_word(a, tower) == nf_word(b, tower)
+    def equal_powers(a, b):
+        return ((a, b, n, m) for n, m in matches[a].get(b, ()))
 
-    quads = ((a, b, n, m) for a, b in _tuples(tuple(powers), 2, spec) for n in exponents for m in exponents)
-    return _scan("jsc", quads, rigid)
+    pairs = _tuples(tuple(powers), 2, spec)
+    return _scan_hits("jsc", pairs, power_bound ** 2, equal_powers, lambda a, b, n, m: n == m and a == b)
 
 
 def check_torsion(spec: BallSpec, tower: ExtensionTower, order_bound: int = 5) -> OracleVerdict:

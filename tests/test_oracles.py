@@ -7,7 +7,7 @@ import pytest
 from grouptower import oracles
 from grouptower.cli import main
 from grouptower.words import parse_word
-from grouptower.tower import ExtensionTower, MembershipUndecided, ball_words, nf_word
+from grouptower.tower import ExtensionTower, MembershipUndecided, ball_words, minimal_root, nf_word
 from grouptower.oracles import (
     COUNTEREXAMPLE,
     PASS,
@@ -27,6 +27,8 @@ from grouptower.oracles import (
     check_torsion,
     common_cyclic_centralizer,
     enumerate_ball,
+    equal_powers_equal,
+    powers_stay_outside,
     run_standard_suite,
     square_inverse_pair_conjugate,
     standard_towers,
@@ -273,7 +275,7 @@ class TestCentCommutationTable:
     SPEC = BallSpec(radius=2)
     PAIR = (W("g0"), W("g0^2"))
 
-    @pytest.mark.parametrize("tower", [FREEZ, MIXED], ids=["free_z", "hnn"])
+    @pytest.mark.parametrize("tower", [FREEZ, MIXED, KLEIN], ids=["free_z", "hnn", "klein"])
     def test_matches_unmemoised_reference(self, tower):
         assert check_cent(self.SPEC, tower) == reference_cent(self.SPEC, tower)
 
@@ -315,3 +317,78 @@ class TestCentCommutationTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+def reference_dodatkowy(spec, tower, power_bound=4):
+    """check_dodatkowy as one replay predicate per ``(a, n)``."""
+    ball = ball_words(tower, spec.radius)
+    pairs = ((a, n) for a in ball for n in range(1, power_bound + 1))
+    return _scan("dodatkowy", pairs, partial(powers_stay_outside, tower))
+
+
+def reference_nn(spec, tower, power_bound=4):
+    """check_nn as one replay predicate per triple, over the pairs that
+    ``_tuples`` draws from the eligible elements; each ineligible element
+    counts its ``power_bound`` tuples."""
+    ball = ball_words(tower, spec.radius)
+    pool = tuple(a for a in ball if oracles._eligible(a, tower))
+    triples = ((a, b, n) for a, b in _tuples(pool, 2, spec) for n in range(1, power_bound + 1))
+    return _scan("nn", triples, partial(equal_powers_equal, tower), checked=(len(ball) - len(pool)) * power_bound)
+
+
+def only_equal_powers_equal(tower, a, b, n, m):
+    """Premise: ``a^n = b^m``.  Conclusion: ``n = m`` and ``a = b``."""
+    if nf_word(a ** n, tower) != nf_word(b ** m, tower):
+        return None
+    return n == m and nf_word(a, tower) == nf_word(b, tower)
+
+
+def reference_jsc(spec, tower, power_bound=4):
+    """check_jsc as one replay predicate per quad, over the pairs that
+    ``_tuples`` draws from the eligible elements without a proper root."""
+    ball = ball_words(tower, spec.radius)
+    pool = tuple(a for a in ball if oracles._eligible(a, tower) and minimal_root(a, tower)[1] == 1)
+    exponents = range(1, power_bound + 1)
+    quads = ((a, b, n, m) for a, b in _tuples(pool, 2, spec) for n in exponents for m in exponents)
+    return _scan("jsc", quads, partial(only_equal_powers_equal, tower))
+
+
+REFERENCES = {"nn": (check_nn, reference_nn), "jsc": (check_jsc, reference_jsc),
+              "dodatkowy": (check_dodatkowy, reference_dodatkowy)}
+
+
+class TestPremiseHitScans:
+    @pytest.mark.parametrize("lemma", sorted(REFERENCES))
+    @pytest.mark.parametrize("tower", [FREEZ, MIXED, KLEIN], ids=["free_z", "hnn", "klein"])
+    # radius 4 holds 744 eligible elements on free_z, so its pair draws are
+    # sampled; radius 2 is exhaustive, and so is radius 3 but for nn on hnn
+    @pytest.mark.parametrize("radius", [2, 3, 4])
+    def test_matches_replay_predicate(self, lemma, tower, radius):
+        check, reference = REFERENCES[lemma]
+        spec = BallSpec(radius=radius, seed=1001)
+        assert check(spec, tower) == reference(spec, tower)
+
+    def test_predicates_see_only_premise_hits_in_scan_order(self, monkeypatch):
+        real = oracles._scan
+
+        def recording(log):
+            def scan(lemma_id, tuples, predicate, checked=0):
+                def recorded(*args):
+                    result = predicate(*args)
+                    log.append((args, result is not None))
+                    return result
+
+                return real(lemma_id, tuples, recorded, checked)
+
+            return scan
+
+        spec = BallSpec(radius=2)
+        scans = [(check_cent, reference_cent)] + [REFERENCES[lemma] for lemma in ("nn", "jsc", "dodatkowy")]
+        for check, reference in scans:
+            fast, replay = [], []
+            monkeypatch.setattr(oracles, "_scan", recording(fast))
+            verdict = check(spec, MIXED)
+            monkeypatch.setitem(globals(), "_scan", recording(replay))
+            reference(spec, MIXED)
+            assert len(fast) == verdict.premise_hits > 0
+            assert [args for args, hit in fast if hit] == [args for args, hit in replay if hit]
