@@ -29,13 +29,14 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from .oracles import _scan
+from .oracles import _scan, _scan_hits
 from .report import CheckResult, RunReport
 from .words import IDENTITY, Word, generator, max_stage, parse_word, sort_key, stable
 from .tower import (
     ExtensionTower,
     MembershipUndecided,
     PreconditionViolated,
+    _conjugate_pinches,
     _member_nf,
     _nf,
     _nf_product,
@@ -330,6 +331,15 @@ def check_conditions(
     their witnesses generate one <z>, a premise failure at a multiple of m
     (the largest tested first) is a failure at m, a power of y conjugates
     y^m as e does, and ``w in <z>`` is tested once per (<z>, w).
+
+    Most rigidity premises are decided from one lower-stage product.  When
+    w's top stage lies above z and y^n, ``w y^n w^-1`` can only pinch at its
+    innermost junction (:func:`tower._conjugate_pinches`); if it does not, the
+    conjugate keeps w's top letter by Britton's lemma, so it lies outside
+    <z>.  Each element's scan gets only the ``(w, m)`` that meet the premise,
+    in scan order, and counts the others as checked
+    (:func:`oracles._scan_hits`); a premise that raises streams its tuple, so
+    the scan raises again and counts it as undecided.
     """
     if state.stage < 1:
         raise PreconditionViolated("condition checks need at least one step")
@@ -373,24 +383,47 @@ def check_conditions(
             return True
         return not commute(k, y)
 
-    def rigid(z: Word, subgroup: frozenset, premises: dict[tuple[Word, int], bool], powers: list[Word],
-              cyclic: set[Word], w: Word, m: int) -> bool | None:
-        """Premise: ``w y^m w^-1`` lies in <z>.  Conclusion: so does ``w``."""
+    def meets(z: Word, premises: dict[tuple[Word, int], bool], powers: list[Word], cyclic: set[Word],
+              w: Word, m: int) -> bool:
+        """Premise of ``(w, m)``: ``w y^m w^-1`` lies in <z>."""
         # a power of y commutes with y^n, so it conjugates y^n as e does
         v = IDENTITY if w in cyclic else w
-
-        def premise(n: int) -> bool:
-            if (v, n) not in premises:
-                y_n = powers[n - 1]
-                conj = _nf_product(_nf_product(w, y_n, tower), inverse[w], tower) if v else y_n
-                premises[v, n] = _member_nf(conj, z, tower) is not None
-            return premises[v, n]
-
         # (w y^m w^-1)^k = w y^km w^-1: a failure at a multiple of m is a
         # failure at m; the largest multiple is tested first
         for n in range(state.power_bound // m * m, 0, -m):
-            if not premise(n):
-                return None
+            verdict = premises.get((v, n))
+            if verdict is None:
+                y_n = powers[n - 1]
+                if v and max_stage(w) > max(max_stage(z), max_stage(y_n)) and not _conjugate_pinches(w, y_n, tower):
+                    # Britton: the conjugate keeps w's top letter, and z lies below it
+                    verdict = False
+                else:
+                    conj = _nf_product(_nf_product(w, y_n, tower), inverse[w], tower) if v else y_n
+                    verdict = _member_nf(conj, z, tower) is not None
+                premises[v, n] = verdict
+            if not verdict:
+                return False
+        return True
+
+    def hits_of(z: Word, premises: dict[tuple[Word, int], bool], powers: list[Word], cyclic: set[Word],
+                w: Word) -> list[tuple[Word, int]]:
+        """The ``(w, m)`` meeting the premise, in scan order, and those whose
+        premise raises."""
+        hits = []
+        for m in range(1, state.power_bound + 1):
+            try:
+                if not meets(z, premises, powers, cyclic, w, m):
+                    continue
+            except MembershipUndecided:
+                pass  # the scan raises again and counts the tuple
+            hits.append((w, m))
+        return hits
+
+    def rigid(subgroup: frozenset, z: Word, premises: dict[tuple[Word, int], bool], powers: list[Word],
+              cyclic: set[Word], w: Word, m: int) -> bool | None:
+        """Premise: ``w y^m w^-1`` lies in <z>.  Conclusion: so does ``w``."""
+        if not meets(z, premises, powers, cyclic, w, m):
+            return None
         if (subgroup, w) not in within:
             within[subgroup, w] = _member_nf(w, z, tower) is not None
         return within[subgroup, w]
@@ -424,8 +457,9 @@ def check_conditions(
             premises = premise_tables[share] = {}
         # the powers of y in the ball, the same set for y^-1
         cyclic = {IDENTITY} | {v for p in powers if p in inverse for v in (p, inverse[p])}
-        stream = ((w, m) for w in ball for m in range(1, state.power_bound + 1))
-        verdict = _scan("condition-rigidity", stream, partial(rigid, z, subgroup, premises, powers, cyclic))
+        row = (z, premises, powers, cyclic)
+        verdict = _scan_hits("condition-rigidity", ((w,) for w in ball), state.power_bound,
+                             partial(hits_of, *row), partial(rigid, subgroup, *row))
         rigidity_witnesses += [f"rigidity:{y}|{w}|{m}" for w, m in verdict.witnesses[:4]]
         rigidity_undecided += verdict.undecided
 

@@ -515,6 +515,29 @@ def _nf_product(a: Word, b: Word, tower: ExtensionTower) -> Word:
     return merged_word(x[:i] + _after_run(s, ea, mid.letters + tail) if ea else mid.letters + tail)
 
 
+def _conjugate_pinches(w: Word, g: Word, tower: ExtensionTower) -> bool:
+    """Whether ``w g w^-1`` pinches at the innermost junction, for normal
+    forms ``w`` and ``g`` with ``g`` below ``w``'s top stage ``j``.
+
+    With ``w = A t^e B``, ``B`` free of ``t = t_j`` and ``u = nf(B g B^-1)``,
+    the conjugate is ``A t^e u t^-e A^-1``.  ``A t^e`` is a prefix of the
+    reduced word ``w`` and ``t^-e A^-1`` a suffix of its inverse, so ``u``
+    is the only new ``t``-free segment, and the only possible pinch is
+    ``t^σ u t^-σ`` with ``σ`` the sign of ``e``.  When it does not pinch, the
+    conjugate is reduced and keeps its ``t`` letters, so by Britton's lemma
+    it lies outside ``G_{j-1}``.
+    """
+    x = w.letters
+    j = max_stage(w)
+    i = _run_before(x, len(x), j)
+    b = merged_word(x[i + 1 :])
+    u = _nf_product(_nf_product(b, g, tower), _nf(b.inverse(), tower), tower)
+    step = tower.step(j)
+    if step.is_free:
+        return not u
+    return _member_nf(u, _edge(step, 1 if x[i][2] > 0 else -1)[0], tower) is not None
+
+
 class _PowerTable:
     """Lazily extended cache of the normal forms of powers of one word."""
 

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from grouptower import constructions
+from grouptower import constructions, oracles
 from grouptower import tower as tower_module
 from grouptower.cli import main
 from grouptower.words import parse_word, stable, max_stage
@@ -314,7 +314,10 @@ class TestConditionChecks:
     def test_shared_verdicts_cut_products_and_commutation_tests(self, two_stage, monkeypatch):
         # one verdict per inverse pair, a premise failure at a multiple of m
         # read as one at m, and the squares of ledger elements: the parent's
-        # per-tuple loops made 5,264 commutation tests and 25,376 products
+        # per-tuple loops made 5,264 commutation tests and 25,376 products,
+        # the shared verdicts 6,032 products.  Britton's lemma decides 832
+        # premises from the last segment of w, without the two products of
+        # each conjugate by w (the helper's own products are not counted)
         calls = {"commutes": 0, "_nf_product": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(constructions, name)):
@@ -324,7 +327,7 @@ class TestConditionChecks:
             monkeypatch.setattr(constructions, name, counted)
         check_conditions(two_stage, 1000, seed=1001)
         assert calls["commutes"] <= 5264 // 4
-        assert calls["_nf_product"] <= 25376 // 4
+        assert calls["_nf_product"] <= 4368
 
     def test_raise_outside_a_predicate_stops_build(self, two_stage, monkeypatch, capsys):
         # the powers of y are normal-formed outside the scan driver, so a
@@ -391,6 +394,87 @@ class TestConditionChecks:
         report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
         assert rows(report)["condition-rigidity"].details["undecided"] == 2 * two_stage.power_bound
         assert report.undecided == 2 * two_stage.power_bound
+
+
+class TestRigidityHits:
+    """The rigidity row hands the scan only the premise hits of each element,
+    and counts the other tuples by arithmetic."""
+
+    @staticmethod
+    def record_streams(monkeypatch):
+        streams = []
+        original = oracles._scan
+
+        def recording(lemma_id, tuples, predicate, checked=0):
+            tuples = list(tuples)
+            verdict = original(lemma_id, tuples, predicate, checked)
+            if lemma_id == "condition-rigidity":
+                streams.append((tuples, verdict))
+            return verdict
+
+        monkeypatch.setattr(oracles, "_scan", recording)
+        return streams
+
+    @pytest.mark.parametrize("case", ["two_stage", "classical"])
+    def test_streams_hold_only_premise_hits(self, case, two_stage, monkeypatch):
+        if case == "two_stage":
+            state = two_stage
+        else:
+            state = tower_step(initial_state(radius=1, power_bound=4, g0_mode="classical"))
+        streams = self.record_streams(monkeypatch)
+        report = check_conditions(state, 20, seed=0)
+        tower = state.tower
+        ball = ball_words(tower, state.radius)
+        outside = [y for y in ball if y and not state.ledger.contains(y, tower)]
+        assert len(streams) == len(outside) == rows(report)["condition-rigidity"].details["elements"]
+        for tuples, verdict in streams:
+            assert len(tuples) == verdict.premise_hits + verdict.undecided
+            assert verdict.checked == len(ball) * state.power_bound
+        assert sum(v.premise_hits for _, v in streams) > 0
+        if case == "classical":
+            # the streamed tuples are exactly those meeting the premise, in order
+            for y, (tuples, _) in zip(outside, streams):
+                z = z_witness(y, state)
+                expected = [
+                    (w, m)
+                    for w in ball
+                    for m in range(1, state.power_bound + 1)
+                    if in_cyclic(nf_word(w * y ** m * w.inverse(), tower), z, tower) is not None
+                ]
+                assert tuples == expected
+
+    def test_raised_britton_test_is_counted_per_tuple_and_not_stored(self, two_stage, monkeypatch):
+        # a raise while deciding a premise by Britton's lemma streams its
+        # tuple, so the scan raises again and counts it; nothing is stored,
+        # so y^-1 tests again and counts again: 2 * power_bound undecided
+        tower = two_stage.tower
+        top = tower.num_steps
+        ball = ball_words(tower, two_stage.radius)
+        y = next(
+            v for v in ball
+            if v and max_stage(v) < top and not two_stage.ledger.contains(v, tower)
+            and max_stage(z_witness(v, two_stage)) < top
+        )
+        w = next(v for v in ball if max_stage(v) == top)
+        powers = {nf_word(y ** n, tower) for n in range(-4, 5) if n}
+        clean = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
+        original = constructions._conjugate_pinches
+
+        def undecided_at_w(w_, g, tower_):
+            if w_ == w and g in powers:
+                raise MembershipUndecided(f"{w_} {g} marked undecided")
+            return original(w_, g, tower_)
+
+        monkeypatch.setattr(constructions, "_conjugate_pinches", undecided_at_w)
+        streams = self.record_streams(monkeypatch)
+        report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
+        rigidity = rows(report)["condition-rigidity"]
+        assert rigidity.details["undecided"] == 2 * two_stage.power_bound
+        assert report.undecided == 2 * two_stage.power_bound
+        assert rigidity.witnesses == rows(clean)["condition-rigidity"].witnesses
+        assert report.checked == clean.checked
+        for tuples, verdict in streams:
+            assert len(tuples) == verdict.premise_hits + verdict.undecided
 
 
 class TestClassical:

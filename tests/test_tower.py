@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouptower import tower as tower_module
-from grouptower.words import Word, parse_word, stable, t_length, max_stage
+from grouptower.words import STABLE, Word, parse_word, stable, t_length, max_stage
 from grouptower.tower import (
     ExtensionTower,
     MembershipUndecided,
@@ -492,6 +492,45 @@ def test_product_normal_form_matches_normal_form_of_product(seed):
         for a, b in product_pairs(tower, rng, 30):
             got = tower_module._nf_product(a, b, tower)
             assert got == nf_word(a * b, copy), f"{a} | {b} on {format_tower(tower)}"
+
+
+@pytest.mark.parametrize("seed", [2024, 106, 111, 124, "free"])
+def test_conjugate_pinches_matches_the_normal_form_of_the_conjugate(seed):
+    """_conjugate_pinches(w, g) against normal forms: with w = A t^e B and
+    u = B g B^-1, a pinch means that t^σ u t^-σ falls below t's stage, and
+    no pinch means that w g w^-1 keeps it.  Besides random g below w's top
+    stage, g runs over e and B^-1 a^k B for the edge words a of t's step,
+    so that both answers occur on every tower family."""
+    if seed == "free":
+        rng, towers = random.Random(89), [FREEZ, MIXED, ExtensionTower(2).extend_hnn(W("g0"), W("g1^2")).extend_free()]
+    else:
+        rng = random.Random(seed)
+        towers = [random_distorted_tower(rng) for _ in range(8)]
+    answers = set()
+    for tower in towers:
+        for w in random_words(tower, 20, 6, rng.random()):
+            w = nf_word(w, tower)
+            j = max_stage(w)
+            if not j:
+                continue
+            step = tower.step(j)
+            last = max(i for i, lt in enumerate(w.letters) if lt.kind == STABLE and lt.index == j)
+            sign = 1 if w.letters[last].exponent > 0 else -1
+            b = Word(w.letters[last + 1 :])
+            gs = random_words(tower.truncate(j - 1), 4, 4, rng.random()) + [W("e")]
+            if not step.is_free:
+                gs += [b.inverse() * a ** rng.choice((1, -1, 2)) * b for a in (step.source, step.target)]
+            for g in gs:
+                g = nf_word(g, tower)
+                pinches = tower_module._conjugate_pinches(w, g, tower)
+                answers.add(pinches)
+                if pinches:
+                    u = b * g * b.inverse()
+                    assert max_stage(nf_word(step.letter ** sign * u * step.letter ** -sign, tower)) < j, (
+                        f"{w} | {g} on {format_tower(tower)}")
+                else:
+                    assert max_stage(nf_word(w * g * w.inverse(), tower)) == j, f"{w} | {g} on {format_tower(tower)}"
+    assert answers == {True, False}
 
 
 def test_product_pushes_across_a_long_run():
