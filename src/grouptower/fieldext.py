@@ -4,16 +4,18 @@ field extension.
 With ``f = X^n - b_{n-1} X^{n-1} - ... - b_0`` the minimal polynomial of a
 generator ``a`` and basis ``(1, a, ..., a^{n-1})``, multiplication by
 ``alpha*a + 1`` is the identity plus ``alpha`` times the companion matrix of
-``f``.  Its inverse has a closed form driven by the partial Horner sums
+``f``.  Its inverse is ``N / d`` with ``d = 1 + alpha*q_m`` and ``N`` driven
+by the partial Horner sums
 
-    q_j = sum_{i<=j} (-alpha)^(j-i) * b_i,      h = 1 / (1 + alpha*q_m),
+    q_j = sum_{i<=j} (-alpha)^(j-i) * b_i,
 
-and the (m-1, m) entry of ``(alpha*a+1)^-1 (beta*a+1)`` has a closed form of
-its own.  Everything here is exact: scalars are rationals and the symbolic
-mode works with bivariate polynomials over the rationals, with the single
-division by ``1 + alpha*q_m`` handled by clearing denominators.
-:func:`field_suite` is the identity suite that the CLI and the acceptance
-criteria share.
+and the (m-1, m) entry of ``(alpha*a+1)^-1 (beta*a+1)`` is a closed-form
+numerator over the same ``d``.  Each numerator is written once and computed
+in the ring of its inputs: integers, rationals, or bivariate polynomials in
+a symbolic alpha and beta.  The rational forms divide by ``d`` once, into
+``Fraction``s.  :func:`field_suite`, the suite the CLI and the acceptance
+criteria share, checks ``N @ A == d*I`` and the entry numerator in the ring
+of each instance, with denominators cleared.
 """
 from __future__ import annotations
 
@@ -109,12 +111,14 @@ class BivariatePoly:
 class ExtFieldSpec:
     """Degree-n extension data: ``f = X^n - b_{n-1} X^{n-1} - ... - b_0``."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.coeffs) < 2:
             raise ValueError("extension degree must be at least 2")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        # integral coefficients stay ints, so integer instances stay in the integers
+        coeffs = map(Fraction, self.coeffs)
+        object.__setattr__(self, "coeffs", tuple(c.numerator if c.denominator == 1 else c for c in coeffs))
 
     @property
     def n(self) -> int:
@@ -160,8 +164,8 @@ class SquareMatrix:
         return SquareMatrix(tuple(rows))
 
     @classmethod
-    def identity(cls, n: int) -> "SquareMatrix":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+    def identity(cls, n: int, scale=1) -> "SquareMatrix":
+        return cls(tuple(tuple(scale if i == j else 0 * scale for j in range(n)) for i in range(n)))
 
     def format_rows(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -172,9 +176,9 @@ def companion(spec: ExtFieldSpec) -> SquareMatrix:
     n = spec.n
     rows = []
     for i in range(n):
-        row = [Fraction(0)] * n
+        row = [0] * n
         if i:
-            row[i - 1] = Fraction(1)
+            row[i - 1] = 1
         row[n - 1] = spec.coeffs[i]
         rows.append(tuple(row))
     return SquareMatrix(tuple(rows))
@@ -182,7 +186,7 @@ def companion(spec: ExtFieldSpec) -> SquareMatrix:
 
 def mul_matrix(alpha, spec: ExtFieldSpec) -> SquareMatrix:
     """Matrix of ``x -> (alpha*a + 1) * x`` in the power basis."""
-    one = alpha * Fraction(0) + 1  # stays in alpha's ring
+    one = alpha * 0 + 1  # stays in alpha's ring
     zero = 0 * one
     rows = [[one if i == j else zero for j in range(spec.n)] for i in range(spec.n)]
     for i, comp_row in enumerate(companion(spec).rows):
@@ -201,73 +205,68 @@ def q_values(alpha, spec: ExtFieldSpec):
     return tuple(out)
 
 
-def explicit_inverse(alpha: Fraction, spec: ExtFieldSpec) -> SquareMatrix:
-    """Closed-form ``(alpha*a + 1)^-1``.
+def denominator(spec: ExtFieldSpec, alpha=None):
+    """``d = 1 + alpha*q_m`` in alpha's ring; alpha is symbolic when omitted."""
+    if alpha is None:
+        alpha = BivariatePoly.alpha()
+    return 1 + alpha * q_values(alpha, spec)[spec.m]
 
-    Entry (i, j) is ``(-alpha)^(i-j)`` on and below the diagonal plus
-    ``(-alpha)^(m+1-j) q_i h`` everywhere.
-    """
-    alpha = Fraction(alpha)
-    q = q_values(alpha, spec)
-    m = spec.m
-    denom = 1 + alpha * q[m]
-    if denom == 0:
+
+def _regular_denominator(alpha, spec: ExtFieldSpec):
+    d = denominator(spec, alpha)
+    if d == 0:
         raise SingularDenominator(f"1 + alpha*q_m vanishes at alpha={alpha}")
-    h = 1 / denom
-    powers = [(-alpha) ** k for k in range(m + 2)]
-    rows = []
-    for i in range(spec.n):
-        qh = q[i] * h
-        row = []
-        for j in range(spec.n):
-            val = powers[m + 1 - j] * qh
-            if i >= j:
-                val += powers[i - j]
-            row.append(val)
-        rows.append(tuple(row))
-    return SquareMatrix(tuple(rows))
+    return d
 
 
-def inverse_numerator(spec: ExtFieldSpec) -> SquareMatrix:
-    """``(1 + alpha*q_m) * (alpha*a+1)^-1`` with alpha symbolic: polynomial
-    entries, so the inverse identity can be checked without division."""
-    alpha = BivariatePoly.alpha()
-    q = q_values(alpha, spec)
-    m = spec.m
-    denom = BivariatePoly.const(1) + alpha * q[m]
+def inverse_numerator(spec: ExtFieldSpec, alpha=None) -> SquareMatrix:
+    """``d * (alpha*a+1)^-1`` in alpha's ring (symbolic when omitted): entry
+    (i, j) is ``(-alpha)^(m+1-j) q_i`` plus ``(-alpha)^(i-j) d`` on and below
+    the diagonal."""
+    if alpha is None:
+        alpha = BivariatePoly.alpha()
+    q, d, m = q_values(alpha, spec), denominator(spec, alpha), spec.m
     rows = []
     for i in range(spec.n):
         row = []
         for j in range(spec.n):
             val = (-alpha) ** (m + 1 - j) * q[i]
             if i >= j:
-                val = val + (-alpha) ** (i - j) * denom
+                val = val + (-alpha) ** (i - j) * d
             row.append(val)
         rows.append(tuple(row))
     return SquareMatrix(tuple(rows))
 
 
-def m_matrix(alpha: Fraction, beta: Fraction, spec: ExtFieldSpec) -> SquareMatrix:
+def explicit_inverse(alpha, spec: ExtFieldSpec) -> SquareMatrix:
+    """Closed-form ``(alpha*a + 1)^-1``: :func:`inverse_numerator` over ``d``,
+    entrywise, as ``Fraction``s."""
+    d = _regular_denominator(alpha, spec)
+    rows = inverse_numerator(spec, alpha).rows
+    return SquareMatrix(tuple(tuple(Fraction(x, d) for x in row) for row in rows))
+
+
+def m_matrix(alpha, beta, spec: ExtFieldSpec) -> SquareMatrix:
     """``(alpha*a + 1)^-1 (beta*a + 1)``, exactly."""
-    return explicit_inverse(alpha, spec) @ mul_matrix(Fraction(beta), spec)
+    return explicit_inverse(alpha, spec) @ mul_matrix(beta, spec)
 
 
-def m_entry_formula(alpha, beta, spec: ExtFieldSpec):
-    """Closed form of the (m-1, m) entry of :func:`m_matrix`."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    q = q_values(alpha, spec)
-    m = spec.m
-    denom = 1 + alpha * q[m]
-    if denom == 0:
-        raise SingularDenominator(f"1 + alpha*q_m vanishes at alpha={alpha}")
-    qh = q[m - 1] / denom
-    powers = [(-alpha) ** k for k in range(m + 2)]
+def _entry_numerator(alpha, beta, spec: ExtFieldSpec):
+    """``d * M_{m-1,m}`` in the ring of alpha and beta: the closed form of
+    row m-1 of :func:`inverse_numerator` against the last column of the beta
+    matrix, ``beta*b_i`` above its last entry ``1 + beta*b_m``."""
+    q, d, m = q_values(alpha, spec), denominator(spec, alpha), spec.m
     b = spec.coeffs
-    total = Fraction(0)
+    total = -(1 + beta * b[m]) * (alpha * q[m - 1])
     for i in range(m):
-        total += beta * b[i] * (powers[m - 1 - i] + powers[m + 1 - i] * qh)
-    total -= (1 + beta * b[m]) * (alpha * qh)
+        total = total + beta * b[i] * ((-alpha) ** (m - 1 - i) * d + (-alpha) ** (m + 1 - i) * q[m - 1])
     return total
+
+
+def m_entry_formula(alpha, beta, spec: ExtFieldSpec) -> Fraction:
+    """Closed form of the (m-1, m) entry of :func:`m_matrix`."""
+    d = _regular_denominator(alpha, spec)
+    return Fraction(_entry_numerator(alpha, beta, spec), d)
 
 
 def m_entry_numerator_symbolic(spec: ExtFieldSpec) -> BivariatePoly:
@@ -277,40 +276,37 @@ def m_entry_numerator_symbolic(spec: ExtFieldSpec) -> BivariatePoly:
     denominator is a nonzero polynomial, the entry vanishes identically only
     if this numerator is the zero polynomial.
     """
-    alpha, beta = BivariatePoly.alpha(), BivariatePoly.beta()
-    q = q_values(alpha, spec)
-    m = spec.m
-    denom = BivariatePoly.const(1) + alpha * q[m]
-    b = spec.coeffs
-    total = BivariatePoly.const(0)
-    for i in range(m):
-        total = total + beta * b[i] * ((-alpha) ** (m - 1 - i) * denom + (-alpha) ** (m + 1 - i) * q[m - 1])
-    total = total - (BivariatePoly.const(1) + beta * b[m]) * (alpha * q[m - 1])
-    return total
+    return _entry_numerator(BivariatePoly.alpha(), BivariatePoly.beta(), spec)
 
 
-def symbolic_denominator(spec: ExtFieldSpec) -> BivariatePoly:
-    alpha = BivariatePoly.alpha()
-    return BivariatePoly.const(1) + alpha * q_values(alpha, spec)[spec.m]
+_B0_CHOICES = tuple(c for c in range(-5, 6) if c != 0)
+_SCALAR_CHOICES = tuple(c for c in range(-9, 10) if c != 0)
 
 
-def random_instance(rng: random.Random, n: int) -> tuple[ExtFieldSpec, Fraction, Fraction]:
-    """Small exact instance; retries until the inverse denominator is regular."""
+def random_instance(rng: random.Random, n: int) -> tuple[ExtFieldSpec, int, int]:
+    """Small integer instance; retries until the inverse denominator is regular."""
     while True:
-        coeffs = [Fraction(rng.choice([c for c in range(-5, 6) if c != 0]))]
-        coeffs += [Fraction(rng.randint(-5, 5)) for _ in range(n - 1)]
+        coeffs = [rng.choice(_B0_CHOICES)] + [rng.randint(-5, 5) for _ in range(n - 1)]
         spec = ExtFieldSpec(tuple(coeffs))
-        alpha = Fraction(rng.choice([c for c in range(-9, 10) if c != 0]))
-        beta = Fraction(rng.choice([c for c in range(-9, 10) if c != 0]))
-        q = q_values(alpha, spec)
-        if 1 + alpha * q[spec.m] != 0:
+        alpha = rng.choice(_SCALAR_CHOICES)
+        beta = rng.choice(_SCALAR_CHOICES)
+        if denominator(spec, alpha) != 0:
             return spec, alpha, beta
 
 
 def field_suite(cap: int, seed: int) -> RunReport:
     """The identity suite: ``cap`` seeded random instances per degree 2..6
     of the inverse and entry closed forms, the worked quadratic instance,
-    and symbolic nonvanishing of the entry for degrees 2..4."""
+    and symbolic nonvanishing of the entry for degrees 2..4.
+
+    Each instance is checked with denominators cleared, in its own ring (the
+    integers for :func:`random_instance`): ``N @ A == d*I`` for the inverse
+    numerator ``N``, ``A = mul_matrix(alpha)`` and ``d = 1 + alpha*q_m``, and
+    row m-1 of ``N`` times the last column of the beta matrix, over ``d``,
+    against :func:`m_entry_formula`.  Since ``d != 0``, the first holds iff
+    ``(N / d) @ A == I``, the inverse identity over the rationals, and the
+    second is the (m-1, m) entry of ``(N / d) @ mul_matrix(beta)``.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1, or no identity is checked")
     report = RunReport("field", {"cap": cap, "seed": seed})
@@ -319,24 +315,23 @@ def field_suite(cap: int, seed: int) -> RunReport:
         ok = 0
         for _ in range(cap):
             spec, alpha, beta = random_instance(rng, n)
-            inverse = explicit_inverse(alpha, spec)
-            if (inverse @ mul_matrix(alpha, spec)).rows != SquareMatrix.identity(n).rows:
+            numerator = inverse_numerator(spec, alpha)
+            d = denominator(spec, alpha)
+            if (numerator @ mul_matrix(alpha, spec)).rows != SquareMatrix.identity(n, d).rows:
                 report.add(f"inverse-identity-n{n}", "counterexample", {"alpha": str(alpha)})
                 break
-            # the (n-2, n-1) entry of m_matrix: one row of the inverse times
-            # one column of the beta matrix
             beta_col = [row[n - 1] for row in mul_matrix(beta, spec).rows]
-            entry = sum(x * y for x, y in zip(inverse.rows[n - 2], beta_col))
+            entry = Fraction(sum(x * y for x, y in zip(numerator.rows[n - 2], beta_col)), d)
             if entry != m_entry_formula(alpha, beta, spec):
                 report.add(f"entry-formula-n{n}", "counterexample", {"alpha": str(alpha)})
                 break
             ok += 1
         else:
             report.add(f"identities-n{n}", "pass", {"instances": ok})
-    worked = explicit_inverse(Fraction(1), ExtFieldSpec((Fraction(1), Fraction(1))))
+    worked = explicit_inverse(1, ExtFieldSpec((1, 1)))
     report.add(
         "worked-instance",
-        "pass" if worked.rows == ((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(1))) else "fail",
+        "pass" if worked.rows == ((2, -1), (-1, 1)) else "fail",
         {"rows": worked.format_rows().split("\n")},
     )
     for n in (2, 3, 4):
@@ -344,7 +339,7 @@ def field_suite(cap: int, seed: int) -> RunReport:
         numerator = m_entry_numerator_symbolic(spec)
         report.add(
             f"symbolic-nonvanishing-n{n}",
-            "pass" if not numerator.is_zero and not symbolic_denominator(spec).is_zero else "fail",
+            "pass" if not numerator.is_zero and not denominator(spec).is_zero else "fail",
             {"terms": len(numerator.coeffs)},
         )
     return report

@@ -606,6 +606,9 @@ def _member_nf(nfw: Word, gen: Word, tower: ExtensionTower) -> int | None:
         if wlt.symbol != glt.symbol or wlt.exponent % glt.exponent:
             return None
         return wlt.exponent // glt.exponent
+    if max_stage(nfw) > max_stage(nfg):
+        # normal forms are stage-local: no power of gen leaves its stage
+        return None
     c, y = cyclically_reduce(nfg, tower)
     s = max_stage(c)
     v = _nf(y.inverse() * nfw * y, tower) if y else nfw
@@ -638,6 +641,8 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower) -> tuple[int, Word]:
     nfg = _nf(gen, tower)
     if not nfg:
         raise PreconditionViolated("coset decomposition needs a nonidentity generator")
+    if not nfa:
+        return 0, IDENTITY
     glt = nfg.letters[0]
     if len(nfg.letters) == 1 and glt.kind == GENERATOR:
         # single-run base generator g^e: prepending powers of g changes only

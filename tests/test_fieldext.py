@@ -10,6 +10,7 @@ from grouptower.fieldext import (
     SingularDenominator,
     SquareMatrix,
     companion,
+    denominator,
     explicit_inverse,
     field_suite,
     inverse_numerator,
@@ -19,7 +20,6 @@ from grouptower.fieldext import (
     mul_matrix,
     q_values,
     random_instance,
-    symbolic_denominator,
 )
 
 F = Fraction
@@ -39,7 +39,7 @@ def gauss_inverse(mat: SquareMatrix) -> SquareMatrix:
         pivot = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[pivot] = a[pivot], a[col]
         b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
+        inv = F(1) / a[col][col]  # exact for int and Fraction pivots
         a[col] = [x * inv for x in a[col]]
         b[col] = [x * inv for x in b[col]]
         for r in range(n):
@@ -154,11 +154,48 @@ class TestExplicitInverse:
             spec, _, _ = random_instance(rng, n)
             numerator = inverse_numerator(spec)
             product = numerator @ mul_matrix(BivariatePoly.alpha(), spec)
-            denom = symbolic_denominator(spec)
+            denom = denominator(spec)
             for i in range(n):
                 for j in range(n):
                     expected = denom if i == j else BivariatePoly.const(0)
                     assert (product.entry(i, j) - expected).is_zero
+
+
+class TestRings:
+    """Integer inputs stay integers up to the one division by ``d``; the
+    rational forms are Fractions whatever the ring of their inputs."""
+
+    SPECS = [
+        ExtFieldSpec((2, -3, 5)),
+        ExtFieldSpec((F(2), F(-3), F(5), F(1))),
+        ExtFieldSpec((F(1, 2), F(3), F(-2, 3))),
+    ]
+
+    def test_integral_coefficients_are_ints(self):
+        coeffs = ExtFieldSpec((F(4), F(-2, 1), 3)).coeffs
+        assert coeffs == (4, -2, 3) and all(type(c) is int for c in coeffs)
+        coeffs = ExtFieldSpec((F(1, 2), 3)).coeffs
+        assert coeffs == (F(1, 2), 3) and [type(c) for c in coeffs] == [Fraction, int]
+
+    def test_integer_instance_stays_in_the_integers(self):
+        spec, alpha, beta = random_instance(random.Random(3), 4)
+        assert all(type(x) is int for x in (alpha, beta, denominator(spec, alpha), *spec.coeffs))
+        for mat in (mul_matrix(alpha, spec), inverse_numerator(spec, alpha)):
+            assert all(type(x) is int for row in mat.rows for x in row)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["int", "fraction", "rational"])
+    @pytest.mark.parametrize("alpha, beta", [(2, -3), (F(2), F(5)), (F(3, 2), F(-1, 3))])
+    def test_rational_forms_are_numerators_over_d(self, spec, alpha, beta):
+        d = denominator(spec, alpha)
+        inverse = explicit_inverse(alpha, spec)
+        numerator = inverse_numerator(spec, alpha)
+        assert all(type(x) is Fraction for row in inverse.rows for x in row)
+        assert inverse.rows == tuple(tuple(F(x) / d for x in row) for row in numerator.rows)
+        assert inverse.rows == gauss_inverse(mul_matrix(alpha, spec)).rows
+        entry = m_entry_formula(alpha, beta, spec)
+        assert type(entry) is Fraction
+        symbolic = m_entry_numerator_symbolic(spec)
+        assert entry == symbolic.evaluate(alpha, beta) / d == m_matrix(alpha, beta, spec).entry(spec.m - 1, spec.m)
 
 
 class TestMMatrix:
@@ -201,6 +238,23 @@ class TestFieldSuite:
         assert verdicts["entry-formula-n4"] == "counterexample"
         assert verdicts["identities-n3"] == verdicts["identities-n5"] == "pass"
 
+    def test_wrong_inverse_numerator_is_a_counterexample(self, monkeypatch):
+        real = fieldext.inverse_numerator
+
+        def one_entry_off(spec, alpha=None):
+            numerator = real(spec, alpha)
+            if spec.n != 5:
+                return numerator
+            rows = [list(row) for row in numerator.rows]
+            rows[3][1] += 1
+            return SquareMatrix(tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(fieldext, "inverse_numerator", one_entry_off)
+        verdicts = {c.check_id: c.verdict for c in field_suite(3, 0).checks}
+        assert verdicts["inverse-identity-n5"] == "counterexample"
+        assert "identities-n5" not in verdicts
+        assert verdicts["identities-n3"] == "pass"
+
 
 class TestSymbolicMode:
     def test_polynomials_have_no_zero_terms(self):
@@ -219,7 +273,7 @@ class TestSymbolicMode:
             spec, _, _ = random_instance(rng, n)
             numerator = m_entry_numerator_symbolic(spec)
             assert not numerator.is_zero
-            assert not symbolic_denominator(spec).is_zero
+            assert not denominator(spec).is_zero
 
     def test_numerator_matches_scalar_formula(self):
         rng = random.Random(29)

@@ -298,6 +298,29 @@ def test_membership_matches_brute_force_on_distorted_towers(seed):
     assert undecided == 0 and decided >= 4 * skipped
 
 
+@pytest.mark.parametrize("seed", [2024, 106, 111, 124])
+def test_identity_coset_and_higher_stage_membership_on_distorted_towers(seed):
+    """``coset_rep(e, g)`` is ``(0, e)``, and no word above ``g``'s top stage
+    is a power of ``g``; an identity generator still raises first."""
+    rng = random.Random(seed)
+    higher = 0
+    for _ in range(20):
+        tower = random_distorted_tower(rng)
+        gens = [w for w in random_words(tower, 5, 3, rng.random()) if nf_word(w, tower)]
+        gens += [step.source for step in tower.steps if not step.is_free]
+        for g in gens:
+            assert coset_rep(W("e"), g, tower) == (0, W("e"))
+            for w in random_words(tower, 6, 4, rng.random()):
+                if max_stage(nf_word(w, tower)) > max_stage(nf_word(g, tower)):
+                    assert in_cyclic(w, g, tower) is None, (format_tower(tower), str(g), str(w))
+                    higher += 1
+        with pytest.raises(PreconditionViolated):
+            coset_rep(W("e"), W("e"), tower)
+        with pytest.raises(PreconditionViolated):
+            in_cyclic(tower.alphabet()[-1], W("e"), tower)
+    assert higher >= 20
+
+
 @pytest.mark.parametrize("seed", [106, 111, 124])
 def test_normal_forms_are_canonical_on_distorted_towers(seed):
     # nf(u v) depends only on the classes of u and v
