@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,10 +8,12 @@ from grouptower.minstruct import (
     MODE_I,
     OMEGA,
     AxiomReport,
+    AxiomResult,
     F2Element,
     ModeMismatch,
     add,
     axiom_suite,
+    chain_cross_check,
     degree,
     domain_points,
     element,
@@ -30,6 +33,73 @@ from grouptower.minstruct import (
 
 def e(*points):
     return element(OMEGA, points)
+
+
+def skewed(a, b):
+    """A commutative sum with identity and x+x = 0 that is not associative:
+    ({p0}+{p1})+{p1} = {p0,p2} for the first three domain points."""
+    p0, p1, p2 = domain_points(a.mode, 3)
+    if {a.support, b.support} == {frozenset({p0}), frozenset({p1})}:
+        return element(a.mode, (p0, p1, p2))
+    return add(a, b)
+
+
+OUTSIDE = {OMEGA: 9, MODE_I: (3, 9)}  # beyond every exhaustive domain
+
+
+def leaky(a, b):
+    """Sums of two nonzero elements with three points gain a point outside
+    the domain."""
+    total = add(a, b)
+    if a.support and b.support and len(total.support) == 3:
+        return element(a.mode, (*total.support, OUTSIDE[a.mode]))
+    return total
+
+
+def reference_sum_axioms(mode, bound):
+    """Axioms 1 and 7 of :func:`axiom_suite` as plain element-level loops:
+    a fresh ``minstruct.add`` for every check, the order read through
+    ``less`` and ``sim`` on elements."""
+    points = domain_points(mode, bound)
+    dom = elements_over(mode, points)
+    masks = {x: sum(1 << points.index(p) for p in x.support) for x in dom}
+    zero_el = zero(mode)
+    checked, bad = 0, []
+    for x in dom:
+        checked += 2
+        if minstruct.add(x, zero_el) != x or minstruct.add(x, x) != zero_el:
+            bad.append(str(x))
+    for x in dom:
+        for y in dom:
+            checked += 1
+            if masks.get(minstruct.add(x, y)) != masks[x] ^ masks[y]:
+                bad.append(f"{x}+{y}")
+    first = AxiomResult("1-group-exponent-2", not bad, checked, tuple(bad[:4]))
+    checked, bad = 0, []
+    for x in dom:
+        for y in dom:
+            if less(x, y):
+                checked += 1
+                if degree(minstruct.add(x, y)) != degree(y):
+                    bad.append(f"below {x},{y}")
+            elif sim(x, y) and x.support:
+                checked += 1
+                if not less(minstruct.add(x, y), x):
+                    bad.append(f"equal {x},{y}")
+    return first, AxiomResult("7-addition-vs-order", not bad, checked, tuple(bad[:4]))
+
+
+def reference_chain_cross_check(support_bound):
+    """:func:`chain_cross_check` with one brute chain per ordered pair."""
+    dom = elements_over(OMEGA, list(range(support_bound)))
+    pairs = mismatches = 0
+    for a in dom:
+        for b in dom:
+            if less(a, b):
+                pairs += 1
+                if minstruct.max_chain_brute(a, b, dom) != points_between(OMEGA, degree(a), degree(b)):
+                    mismatches += 1
+    return pairs, mismatches
 
 
 class TestElements:
@@ -71,6 +141,12 @@ class TestAddition:
             total, expected = add(x, y), element(mode, x.support ^ y.support)
             assert total == expected
             assert (total.top, hash(total), str(total)) == (expected.top, hash(expected), str(expected))
+
+    @pytest.mark.parametrize("mode, point", [(OMEGA, True), (OMEGA, False), (MODE_I, (0, True)), (MODE_I, (True, 0))])
+    def test_bool_points_are_rejected(self, mode, point):
+        # True == 1, but a bool is no index point
+        with pytest.raises(ValueError):
+            element(mode, [point])
 
     def test_outside_input_is_still_validated(self):
         # sums skip the point check; every other way in keeps it
@@ -128,6 +204,22 @@ class TestGapPredicates:
         assert not any(p_n(n, a, b) for n in range(40))
         assert points_between(MODE_I, degree(a), degree(b)) is None
 
+    def test_chain_cross_check_matches_one_brute_chain_per_pair(self, monkeypatch):
+        assert chain_cross_check(5) == reference_chain_cross_check(5) == (341, 0)
+        real = minstruct.max_chain_brute
+        calls = []
+
+        def off_on_one_degree_pair(a, b, dom):
+            calls.append((degree(a), degree(b)))
+            return real(a, b, dom) + ((degree(a), degree(b)) == (1, 3))
+
+        monkeypatch.setattr(minstruct, "max_chain_brute", off_on_one_degree_pair)
+        # the 2 elements of degree 1 against the 8 of degree 3 mismatch
+        assert chain_cross_check(5) == (341, 16)
+        # one brute chain for each of the 5 + 10 degree pairs
+        assert len(calls) == len(set(calls)) == 15
+        assert reference_chain_cross_check(5) == (341, 16)
+
     def test_closed_form_matches_chains_support_six(self):
         pts = list(range(6))
         dom = elements_over(OMEGA, pts)
@@ -172,16 +264,29 @@ class TestAxiomSuite:
             "7-addition-vs-order",
         ]
 
+    @pytest.mark.parametrize("mutant", [None, skewed, leaky], ids=["add", "skewed", "leaky"])
+    @pytest.mark.parametrize("bound", [4, 5, 6])
+    @pytest.mark.parametrize("mode", [OMEGA, MODE_I])
+    def test_sum_axioms_match_element_level_loops(self, mode, bound, mutant, monkeypatch):
+        if mutant is not None:
+            monkeypatch.setattr(minstruct, "add", mutant)
+        results = axiom_suite(mode, bound).results
+        expected = reference_sum_axioms(mode, bound)
+        assert (results[0], results[6]) == expected
+        assert expected[0].passed == (mutant is None)
+
+    def test_axiom_suite_keeps_no_table_of_sums(self):
+        # one pass computes each sum and drops it; a table of the 65,536
+        # sums at bound 8 peaks near 41 MiB
+        tracemalloc.start()
+        try:
+            axiom_suite(OMEGA, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_non_associative_addition_fails_axiom_one(self, monkeypatch):
-        import grouptower.minstruct as minstruct
-
-        # a commutative sum with identity and x+x = 0 that is not
-        # associative: ({0}+{1})+{1} = {0,2}
-        def skewed(a, b):
-            if {a.support, b.support} == {frozenset({0}), frozenset({1})}:
-                return e(0, 1, 2)
-            return add(a, b)
-
         monkeypatch.setattr(minstruct, "add", skewed)
         assert skewed(skewed(e(0), e(1)), e(1)) != e(0)
         first = axiom_suite(OMEGA, 4).results[0]
@@ -190,16 +295,8 @@ class TestAxiomSuite:
         assert "{0}+{1}" in first.witnesses
 
     def test_sum_outside_domain_is_an_axiom_one_counterexample(self, monkeypatch):
-        import grouptower.minstruct as minstruct
-
         # sums of two nonzero elements with three points gain point 9,
         # outside the 4-point domain
-        def leaky(a, b):
-            total = add(a, b)
-            if a.support and b.support and len(total.support) == 3:
-                return e(*total.support, 9)
-            return total
-
         monkeypatch.setattr(minstruct, "add", leaky)
         report = axiom_suite(OMEGA, 4)
         first = report.results[0]
@@ -235,6 +332,29 @@ class TestEmbedding:
         monkeypatch.setattr(minstruct, "less", wrong)
         assert not embedding_check(4)
 
+    @pytest.mark.parametrize("side", [OMEGA, MODE_I])
+    @pytest.mark.parametrize("name", ["less", "p_n"])
+    def test_wrong_on_one_degree_pair_fails(self, name, side, monkeypatch):
+        # wrong on every element pair of degrees 1 and 3 on one side only
+        real = getattr(minstruct, name)
+        degrees = (1, 3) if side == OMEGA else ((0, 1), (0, 3))
+
+        def wrong(*args):
+            a, b = args[-2:]
+            flip = a.mode == side and (degree(a), degree(b)) == degrees
+            return (not real(*args)) if flip else real(*args)
+
+        monkeypatch.setattr(minstruct, name, wrong)
+        assert not embedding_check(4)
+
+    def test_wrong_sum_on_one_element_pair_fails(self, monkeypatch):
+        # neither operand is the first element of its degree
+        def wrong(a, b):
+            return e(3) if (a, b) == (e(0, 1), e(0, 2)) else add(a, b)
+
+        monkeypatch.setattr(minstruct, "add", wrong)
+        assert not embedding_check(4)
+
     def test_zero_maps_to_zero(self):
         img = element(MODE_I, ((0, i) for i in ()))
         assert img == zero(MODE_I)
@@ -253,6 +373,14 @@ class TestParsing:
 
     def test_empty(self):
         assert parse_element("{}", OMEGA) == zero(OMEGA)
+
+    def test_mode_i_spacing(self):
+        assert parse_element("{ (0, 2) ,(3 ,-1) }", MODE_I) == element(MODE_I, [(0, 2), (3, -1)])
+
+    @pytest.mark.parametrize("text", ["{(0,1),xyz}", "{(0,1),5}", "{(0,1)(0,2)}", "{(0,1),}", "{xyz}", "{5}"])
+    def test_mode_i_rejects_text_outside_its_pairs(self, text):
+        with pytest.raises(ValueError):
+            parse_element(text, MODE_I)
 
     def test_rejects_bad_points(self):
         with pytest.raises(ValueError):
