@@ -40,6 +40,7 @@ from .tower import (
     _member_nf,
     _nf,
     _nf_product,
+    _nonzero_rational_image,
     ball_words,
     commutes,
     cyclically_reduce,
@@ -332,12 +333,20 @@ def check_conditions(
     (the largest tested first) is a failure at m, a power of y conjugates
     y^m as e does, and ``w in <z>`` is tested once per (<z>, w).
 
-    Most rigidity premises are decided from one lower-stage product.  When
-    w's top stage lies above z and y^n, ``w y^n w^-1`` can only pinch at its
-    innermost junction (:func:`tower._conjugate_pinches`); if it does not, the
-    conjugate keeps w's top letter by Britton's lemma, so it lies outside
-    <z>.  Each element's scan gets only the ``(w, m)`` that meet the premise,
-    in scan order, and counts the others as checked
+    Most rigidity premises are commutation tests.  z is a root of y, so
+    ``y = z^d`` with ``d != 0``.  When y is nonzero in ``H1(G; Q)``
+    (:func:`tower._nonzero_rational_image`), a map ``f: G -> Q`` with
+    ``f(y) != 0`` takes a conjugate ``z^j`` of ``y^n`` to ``j f(z) = nd f(z)``,
+    so ``j = nd`` and the premise holds iff ``w y^n = y^n w``.  Both rows
+    share one commutation test, which decides a pair at two top stages by
+    Britton's lemma first: the conjugate of the lower element by the higher
+    can only pinch at its innermost junction (:func:`tower._conjugate_pinches`),
+    and if it does not, it keeps the higher top letter, so the two do not
+    commute.  Its rigidity verdicts are kept only in the premise tables,
+    which are freed after their scans.  For the other y the premise is a
+    membership test in <z>, after the same Britton test when w's top stage
+    lies above z and y^n.  Each element's scan gets only the ``(w, m)`` that
+    meet the premise, in scan order, and counts the others as checked
     (:func:`oracles._scan_hits`); a premise that raises streams its tuple, so
     the scan raises again and counts it as undecided.
     """
@@ -361,6 +370,7 @@ def check_conditions(
     commuting: dict[tuple[Word, frozenset], bool] = {}
     premise_tables: dict[tuple[frozenset, frozenset], dict[tuple[Word, int], bool]] = {}
     within: dict[tuple[frozenset, Word], bool] = {}
+    nonzero_image = _nonzero_rational_image(tower)
 
     squares: dict[Word, Word] = {}
     for y in ledger_ball:
@@ -368,11 +378,20 @@ def check_conditions(
         if in_ledger.get(square):
             squares[y] = square
 
+    def commutation(k: Word, y: Word) -> bool:
+        """``k y == y k`` for normal forms."""
+        # k y = y k iff a b a^-1 = b, with a the higher of the two; by
+        # Britton's lemma that conjugate keeps a's top letter, so it is not
+        # b, unless it pinches at its innermost junction
+        a, b = (k, y) if max_stage(k) > max_stage(y) else (y, k)
+        return ((max_stage(a) == max_stage(b) or _conjugate_pinches(a, b, tower))
+                and _nf_product(k, y, tower) == _nf_product(y, k, tower))
+
     def commute(k: Word, y: Word) -> bool:
-        """``k y == y k``, one answer for y and y^-1."""
+        """:func:`commutation`, one answer for y and y^-1."""
         key = (k, frozenset((y, inverse[y])))
         if key not in commuting:
-            commuting[key] = commutes(k, y, tower)
+            commuting[key] = commutation(k, y)
         return commuting[key]
 
     def escapes(y: Word, k: Word) -> bool:
@@ -383,8 +402,8 @@ def check_conditions(
             return True
         return not commute(k, y)
 
-    def meets(z: Word, premises: dict[tuple[Word, int], bool], powers: list[Word], cyclic: set[Word],
-              w: Word, m: int) -> bool:
+    def meets(z: Word, by_commutation: bool, premises: dict[tuple[Word, int], bool], powers: list[Word],
+              cyclic: set[Word], w: Word, m: int) -> bool:
         """Premise of ``(w, m)``: ``w y^m w^-1`` lies in <z>."""
         # a power of y commutes with y^n, so it conjugates y^n as e does
         v = IDENTITY if w in cyclic else w
@@ -394,7 +413,11 @@ def check_conditions(
             verdict = premises.get((v, n))
             if verdict is None:
                 y_n = powers[n - 1]
-                if v and max_stage(w) > max(max_stage(z), max_stage(y_n)) and not _conjugate_pinches(w, y_n, tower):
+                if by_commutation:
+                    # y = z^d, and a map to Q nonzero on y takes a conjugate
+                    # z^j of y^n to j = nd: the conjugate is y^n itself
+                    verdict = not v or commutation(v, y_n)
+                elif v and max_stage(w) > max(max_stage(z), max_stage(y_n)) and not _conjugate_pinches(w, y_n, tower):
                     # Britton: the conjugate keeps w's top letter, and z lies below it
                     verdict = False
                 else:
@@ -405,24 +428,24 @@ def check_conditions(
                 return False
         return True
 
-    def hits_of(z: Word, premises: dict[tuple[Word, int], bool], powers: list[Word], cyclic: set[Word],
-                w: Word) -> list[tuple[Word, int]]:
+    def hits_of(z: Word, by_commutation: bool, premises: dict[tuple[Word, int], bool], powers: list[Word],
+                cyclic: set[Word], w: Word) -> list[tuple[Word, int]]:
         """The ``(w, m)`` meeting the premise, in scan order, and those whose
         premise raises."""
         hits = []
         for m in range(1, state.power_bound + 1):
             try:
-                if not meets(z, premises, powers, cyclic, w, m):
+                if not meets(z, by_commutation, premises, powers, cyclic, w, m):
                     continue
             except MembershipUndecided:
                 pass  # the scan raises again and counts the tuple
             hits.append((w, m))
         return hits
 
-    def rigid(subgroup: frozenset, z: Word, premises: dict[tuple[Word, int], bool], powers: list[Word],
-              cyclic: set[Word], w: Word, m: int) -> bool | None:
+    def rigid(subgroup: frozenset, z: Word, by_commutation: bool, premises: dict[tuple[Word, int], bool],
+              powers: list[Word], cyclic: set[Word], w: Word, m: int) -> bool | None:
         """Premise: ``w y^m w^-1`` lies in <z>.  Conclusion: so does ``w``."""
-        if not meets(z, premises, powers, cyclic, w, m):
+        if not meets(z, by_commutation, premises, powers, cyclic, w, m):
             return None
         if (subgroup, w) not in within:
             within[subgroup, w] = _member_nf(w, z, tower) is not None
@@ -457,7 +480,7 @@ def check_conditions(
             premises = premise_tables[share] = {}
         # the powers of y in the ball, the same set for y^-1
         cyclic = {IDENTITY} | {v for p in powers if p in inverse for v in (p, inverse[p])}
-        row = (z, premises, powers, cyclic)
+        row = (z, nonzero_image(y), premises, powers, cyclic)
         verdict = _scan_hits("condition-rigidity", ((w,) for w in ball), state.power_bound,
                              partial(hits_of, *row), partial(rigid, subgroup, *row))
         rigidity_witnesses += [f"rigidity:{y}|{w}|{m}" for w, m in verdict.witnesses[:4]]

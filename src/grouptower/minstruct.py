@@ -506,11 +506,12 @@ def minstruct_suite(bound: int, support_bound: int, embed_bound: int) -> RunRepo
     return report
 
 
-_PAIR = r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)"
+_PAIR = r"\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)"
 
 
 def parse_element(text: str, mode: str) -> F2Element:
-    """Parse ``{0,3,5}`` (mode omega) or ``{(0,2),(3,-1)}`` (mode I)."""
+    """Parse ``{0,3,5}`` (mode omega) or ``{(0,2),(3,-1)}`` (mode I): points
+    in ASCII digits, each at most once."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError(f"element text must be braced: {text!r}")
@@ -518,7 +519,13 @@ def parse_element(text: str, mode: str) -> F2Element:
     if not inner:
         return zero(mode)
     if mode == OMEGA:
-        return element(mode, (int(tok) for tok in inner.split(",")))
-    if not re.fullmatch(rf"{_PAIR}(\s*,\s*{_PAIR})*", inner):
-        raise ValueError(f"mode I elements are comma-separated index pairs, got {text!r}")
-    return element(mode, ((int(c), int(o)) for c, o in re.findall(_PAIR, inner)))
+        if not re.fullmatch(r"[0-9]+(\s*,\s*[0-9]+)*", inner):
+            raise ValueError(f"mode omega elements are comma-separated naturals, got {text!r}")
+        points = [int(tok) for tok in inner.split(",")]
+    else:
+        if not re.fullmatch(rf"{_PAIR}(\s*,\s*{_PAIR})*", inner):
+            raise ValueError(f"mode I elements are comma-separated index pairs, got {text!r}")
+        points = [(int(c), int(o)) for c, o in re.findall(_PAIR, inner)]
+    if len(set(points)) < len(points):
+        raise ValueError(f"element text repeats a point: {text!r}")
+    return element(mode, points)

@@ -861,6 +861,40 @@ def root_witness(y: Word, tower: ExtensionTower) -> Word:
     return root
 
 
+def _nonzero_rational_image(tower: ExtensionTower):
+    """A test of whether a word is nonzero in ``H1(G; Q)``, ``G`` the tower's
+    top group.
+
+    ``H1(G; Q)`` is the rational vector space on the letters ``g_i`` and
+    ``t_s`` modulo the span of the edge relations ``ab(source) - ab(target)``;
+    a free step adds none.  The relations are row-reduced once, in exact
+    integer arithmetic (a row is scaled, never divided), and a word's
+    exponent-sum vector is nonzero in the quotient iff it does not reduce to
+    zero.
+    """
+    rank = tower.base_rank
+    rows: list[tuple[int, list[int]]] = []  # (pivot, row), zero at earlier pivots
+
+    def sums(w: Word) -> list[int]:
+        v = [0] * (rank + tower.num_steps)
+        for kind, index, exp in w.letters:
+            v[index if kind == GENERATOR else rank + index - 1] += exp
+        return v
+
+    def reduce(v: list[int]) -> list[int]:
+        for p, row in rows:
+            if v[p]:
+                v = [row[p] * a - v[p] * b for a, b in zip(v, row)]
+        return v
+
+    for step in tower.steps:
+        if not step.is_free:
+            r = reduce([a - b for a, b in zip(sums(step.source), sums(step.target))])
+            if any(r):
+                rows.append((next(i for i, a in enumerate(r) if a), r))
+    return lambda w: any(reduce(sums(w)))
+
+
 def commutes(a: Word, b: Word, tower: ExtensionTower) -> bool:
     a, b = nf_word(a, tower), nf_word(b, tower)
     return _nf_product(a, b, tower) == _nf_product(b, a, tower)

@@ -311,6 +311,71 @@ class TestConditionChecks:
             assert {"rigidity:g1|t1|2", "rigidity:g1|t1|4"} <= set(witnesses)
             assert "rigidity:g1|t1|1" not in witnesses
 
+    @pytest.mark.parametrize(
+        # the premises each case decides by commutation
+        "case, decided",
+        [("two_stage", 2880), ("six_stage", 59472),
+         (("g1^2", "g1^3", 1), 12), (("g1^2", "g1^3", 2), 1008), (("g0^2", "g0^2", 2), 1192)],
+    )
+    def test_commutation_premises_match_membership(self, case, decided, two_stage, six_stage, monkeypatch):
+        # for y nonzero in H1(G; Q) the premise w y^n w^-1 in <z> is decided
+        # as w y^n == y^n w; every such verdict must be the membership one
+        state = {"two_stage": two_stage, "six_stage": six_stage}.get(case) or hnn_state(*case)
+        tower = state.tower
+        scans = []
+        original = constructions._scan_hits
+
+        def recording(lemma_id, groups, per_group, hits_of, predicate, checked=0):
+            scans.append(hits_of.args)
+            return original(lemma_id, groups, per_group, hits_of, predicate, checked)
+
+        monkeypatch.setattr(constructions, "_scan_hits", recording)
+        check_conditions(state, 20, seed=0)
+        # y and y^-1 share a premise table, and w y^-n w^-1 = (w y^n w^-1)^-1
+        tables = {id(premises): (z, premises, powers) for z, by_commutation, premises, powers, _ in reversed(scans)
+                  if by_commutation}
+        count = 0
+        for z, premises, powers in tables.values():
+            for (v, n), verdict in premises.items():
+                conj = nf_word(v * powers[n - 1] * v.inverse(), tower)
+                assert verdict == (tower_module._member_nf(conj, z, tower) is not None), (str(v), str(powers[0]), n)
+                count += 1
+        assert count >= decided
+
+    def test_zero_image_premises_go_through_membership(self, monkeypatch):
+        # t1 g1^2 t1^-1 = g1^3: g1 is zero in H1(G; Q), and t1 g1^2 t1^-1 lies
+        # in <g1> although t1 does not commute with g1^2
+        state = hnn_state("g1^2", "g1^3", 1)
+        tower = state.tower
+        assert not tower_module._nonzero_rational_image(tower)(W("g1"))
+        assert not commutes(W("t1"), W("g1^2"), tower)
+        calls = []
+        original = constructions._member_nf
+
+        def recording(w, gen, tower_):
+            calls.append((w, gen))
+            return original(w, gen, tower_)
+
+        monkeypatch.setattr(constructions, "_member_nf", recording)
+        rigidity = rows(check_conditions(state, 30, seed=0))["condition-rigidity"]
+        assert (W("g1^3"), W("g1")) in calls
+        assert rigidity.verdict == "counterexample" and "rigidity:g1|t1|2" in rigidity.witnesses
+
+    def test_membership_tests_at_the_build_configuration(self, two_stage, monkeypatch):
+        # premises of elements nonzero in H1(G; Q) are commutation tests, so
+        # membership is tested for the other premises and the conclusions
+        # only: 2,364 calls when every premise was a membership test
+        calls = []
+        original = constructions._member_nf
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(constructions, "_member_nf", counted)
+        check_conditions(two_stage, 1000, seed=1001)
+        assert len(calls) <= 300
+
     def test_shared_verdicts_cut_products_and_commutation_tests(self, two_stage, monkeypatch):
         # one verdict per inverse pair, a premise failure at a multiple of m
         # read as one at m, and the squares of ledger elements: the parent's

@@ -382,6 +382,22 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_element(text, MODE_I)
 
+    @pytest.mark.parametrize("text", ["{1_0}", "{+3}", "{ 2 ,٣}"])
+    def test_omega_takes_only_ascii_digit_naturals(self, text):
+        # int() reads these as 10, 3 and 3 (an Arabic-Indic three)
+        with pytest.raises(ValueError):
+            parse_element(text, OMEGA)
+
+    def test_mode_i_takes_only_ascii_digits(self):
+        with pytest.raises(ValueError):
+            parse_element("{(0,2),(٣,1)}", MODE_I)
+
+    @pytest.mark.parametrize("text, mode", [("{0,0}", OMEGA), ("{(0,2),( 0 , 2 )}", MODE_I)])
+    def test_rejects_a_repeated_point(self, text, mode):
+        # {0}+{0} is zero in an exponent-2 group, so {0,0} is not {0}
+        with pytest.raises(ValueError):
+            parse_element(text, mode)
+
     def test_rejects_bad_points(self):
         with pytest.raises(ValueError):
             element(MODE_I, [(0, -1)])

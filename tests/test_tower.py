@@ -833,6 +833,35 @@ class TestCommutesAndCentralizers:
                 assert commutes(a, b, tower) == (not nf_word(a * b * a.inverse() * b.inverse(), tower)), (str(a), str(b))
 
 
+class TestRationalImage:
+    """``_nonzero_rational_image``: is a word nonzero in ``H1(G; Q)``."""
+
+    def test_a_free_step_adds_no_relation(self):
+        nonzero = tower_module._nonzero_rational_image(FREEZ)
+        assert nonzero(W("t1")) and nonzero(W("g0 g1^-1"))
+        assert not nonzero(W("t1 g0 t1^-1 g0^-1"))
+
+    def test_baumslag_solitar_base_letter_is_zero(self):
+        # BS(1,2): t1 g0 t1^-1 = g0^2 makes g0 = 2 g0 in H1
+        nonzero = tower_module._nonzero_rational_image(ExtensionTower(1).extend_hnn(W("g0"), W("g0^2")))
+        assert not nonzero(W("g0")) and not nonzero(W("g0^5"))
+        assert nonzero(W("t1")) and nonzero(W("t1 g0"))
+
+    def test_an_edge_identifies_the_images_of_its_words(self):
+        # t1 g0 t1^-1 = g1: g0 and g1 have one image, which is not zero
+        nonzero = tower_module._nonzero_rational_image(HNN)
+        assert not nonzero(W("g0 g1^-1")) and not nonzero(W("e"))
+        assert nonzero(W("g0")) and nonzero(W("g1^-1 t1"))
+
+    def test_relations_are_reduced_against_each_other(self):
+        # the second edge g0^2 = g1^2 follows from the first, and the third
+        # g0 = t1 makes t1 g1^-1 zero, as an integer combination of all three
+        tower = HNN.extend_hnn(W("g0^2"), W("g1^2")).extend_hnn(W("g1"), W("t1"))
+        nonzero = tower_module._nonzero_rational_image(tower)
+        assert not nonzero(W("t1 g1^-1")) and not nonzero(W("g0^3 t1^-3"))
+        assert nonzero(W("t2")) and nonzero(W("t1 g1"))
+
+
 class TestTorsionFreeness:
     def test_no_small_torsion(self):
         for tower in (HNN, MIXED):
