@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, default=4)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--power-bound", type=int, default=4)
-    p.add_argument("--g0-mode", choices=("free", "classical"), default="free")
     p.add_argument("--check-candidates", type=int, default=200)
 
     p = sub.add_parser("lemmas", parents=[common], help="run the lemma oracle suite")
@@ -100,7 +99,7 @@ def cmd_reduce(args) -> tuple[RunReport, str | None]:
 
 def cmd_build(args) -> tuple[RunReport, None]:
     return constructions.build_suite(
-        args.stages, args.radius, args.power_bound, args.g0_mode, args.check_candidates, args.seed
+        args.stages, args.radius, args.power_bound, args.check_candidates, args.seed
     ), None
 
 

@@ -7,15 +7,15 @@ Centralizers blow up: triple products ``T_st T_rs T_tr`` over distinct pairs
 :func:`classical_suite` checks both facts; the CLI and the acceptance
 criteria share it.
 
-The scheduled construction alternates free-product steps with cyclic-edge
-steps ``t x t^-1 = z`` that conjugate a fixed element ``x`` onto queued
-witnesses ``z``, chosen oldest-first.  A ledger keyed by :func:`cyclic_key`
-tracks which elements are certified conjugate to a power of ``x`` so far,
-so a queued witness's own key answers whether it is certified; condition
-checks probe, at bounded radius, that each step grew the group, kept
-centralizers of ledger elements inside the previous stage, preserved the
-root-rigidity property of non-ledger elements, and made monotone
-conjugation progress.
+The scheduled construction starts from the rank-2 free group and alternates
+free-product steps with cyclic-edge steps ``t x t^-1 = z`` that conjugate a
+fixed element ``x`` onto queued witnesses ``z``, chosen oldest-first.  A
+ledger keyed by :func:`cyclic_key` tracks which elements are certified
+conjugate to a power of ``x`` so far, so a queued witness's own key answers
+whether it is certified; condition checks probe, at bounded radius, that
+each step grew the group, kept centralizers of ledger elements inside the
+previous stage, preserved the root-rigidity property of non-ledger
+elements, and made monotone conjugation progress.
 :func:`build_suite` runs the construction and these checks; the CLI and the
 acceptance criteria share it.
 
@@ -36,6 +36,7 @@ from .tower import (
     ExtensionTower,
     MembershipUndecided,
     PreconditionViolated,
+    _commutes_nf,
     _conjugate_pinches,
     _member_nf,
     _nf,
@@ -133,7 +134,6 @@ class ConstructionState:
     x: Word
     radius: int
     power_bound: int
-    base_steps: int                      # steps belonging to the seed group
     ledger: ConjugacyLedger
     z_record: dict[Word, Word] = field(default_factory=dict)  # nf(y) -> chosen witness z_y
     z_queue: tuple[QueueEntry, ...] = ()
@@ -142,7 +142,7 @@ class ConstructionState:
 
     @property
     def stage(self) -> int:
-        return self.tower.num_steps - self.base_steps
+        return self.tower.num_steps
 
     def power_window(self) -> int:
         return max(self.radius, self.power_bound) + 2
@@ -189,7 +189,7 @@ def _scan_witnesses(state: ConstructionState) -> ConstructionState:
         queued.add(key)
         fresh.append(QueueEntry(state.stage, nf_word(z, tower), key))
     fresh.sort(key=lambda e: sort_key(e.witness))
-    seed = [y for y in ball_words(tower.truncate(state.base_steps), state.radius) if y]
+    seed = [y for y in ball_words(tower.truncate(0), state.radius) if y]
     fractions = tuple(sum(y in certified for y in part) / len(part) if part else 1.0 for part in (seed, ball))
     return replace(
         state,
@@ -199,25 +199,20 @@ def _scan_witnesses(state: ConstructionState) -> ConstructionState:
     )
 
 
-def initial_state(radius: int = 2, power_bound: int = 4, g0_mode: str = "free") -> ConstructionState:
+def initial_state(radius: int = 2, power_bound: int = 4) -> ConstructionState:
     """Stage-0 state over a rank-2 free base: seed group, distinguished
     element x = g0, seeded ledger."""
-    if g0_mode not in ("free", "classical"):
-        raise ValueError(f"unknown g0 mode {g0_mode!r}")
     if power_bound < 1:
         raise ValueError("power bound must be at least 1")
     if radius < 1:
         raise ValueError("radius must be at least 1, or the condition checks test no element")
     tower = ExtensionTower(2)
-    if g0_mode == "classical":
-        tower = classical_step(classical_state(), 1).tower
     x = generator(0)
     state = ConstructionState(
         tower=tower,
         x=x,
         radius=radius,
         power_bound=power_bound,
-        base_steps=tower.num_steps,
         ledger=ConjugacyLedger(x),
     )
     ledger = state.ledger
@@ -338,15 +333,12 @@ def check_conditions(
     (:func:`tower._nonzero_rational_image`), a map ``f: G -> Q`` with
     ``f(y) != 0`` takes a conjugate ``z^j`` of ``y^n`` to ``j f(z) = nd f(z)``,
     so ``j = nd`` and the premise holds iff ``w y^n = y^n w``.  Both rows
-    share one commutation test, which decides a pair at two top stages by
-    Britton's lemma first: the conjugate of the lower element by the higher
-    can only pinch at its innermost junction (:func:`tower._conjugate_pinches`),
-    and if it does not, it keeps the higher top letter, so the two do not
-    commute.  Its rigidity verdicts are kept only in the premise tables,
-    which are freed after their scans.  For the other y the premise is a
-    membership test in <z>, after the same Britton test when w's top stage
-    lies above z and y^n.  Each element's scan gets only the ``(w, m)`` that
-    meet the premise, in scan order, and counts the others as checked
+    test commutation by :func:`tower._commutes_nf`; its rigidity verdicts
+    are kept only in the premise tables, freed after their scans.  For the
+    other y the premise is a membership test in <z>, after the Britton test
+    :func:`tower._conjugate_pinches` when w's top stage lies above z and
+    y^n.  Each element's scan gets only the ``(w, m)`` that meet the
+    premise, in scan order, and counts the others as checked
     (:func:`oracles._scan_hits`); a premise that raises streams its tuple, so
     the scan raises again and counts it as undecided.
     """
@@ -378,20 +370,11 @@ def check_conditions(
         if in_ledger.get(square):
             squares[y] = square
 
-    def commutation(k: Word, y: Word) -> bool:
-        """``k y == y k`` for normal forms."""
-        # k y = y k iff a b a^-1 = b, with a the higher of the two; by
-        # Britton's lemma that conjugate keeps a's top letter, so it is not
-        # b, unless it pinches at its innermost junction
-        a, b = (k, y) if max_stage(k) > max_stage(y) else (y, k)
-        return ((max_stage(a) == max_stage(b) or _conjugate_pinches(a, b, tower))
-                and _nf_product(k, y, tower) == _nf_product(y, k, tower))
-
     def commute(k: Word, y: Word) -> bool:
-        """:func:`commutation`, one answer for y and y^-1."""
+        """``k y == y k``, one answer for y and y^-1."""
         key = (k, frozenset((y, inverse[y])))
         if key not in commuting:
-            commuting[key] = commutation(k, y)
+            commuting[key] = _commutes_nf(k, y, tower)
         return commuting[key]
 
     def escapes(y: Word, k: Word) -> bool:
@@ -416,7 +399,7 @@ def check_conditions(
                 if by_commutation:
                     # y = z^d, and a map to Q nonzero on y takes a conjugate
                     # z^j of y^n to j = nd: the conjugate is y^n itself
-                    verdict = not v or commutation(v, y_n)
+                    verdict = not v or _commutes_nf(v, y_n, tower)
                 elif v and max_stage(w) > max(max_stage(z), max_stage(y_n)) and not _conjugate_pinches(w, y_n, tower):
                     # Britton: the conjugate keeps w's top letter, and z lies below it
                     verdict = False
@@ -503,24 +486,24 @@ def check_conditions(
     return ConditionReport(checks, checked, centralizer_undecided + rigidity_undecided)
 
 
-def build_suite(
-    stages: int, radius: int, power_bound: int, g0_mode: str, check_candidates: int, seed: int
-) -> RunReport:
+def build_suite(stages: int, radius: int, power_bound: int, check_candidates: int, seed: int) -> RunReport:
     """The scheduled construction over ``stages`` steps: one row for the base
     and one per stage, then the condition checks on the last stage."""
     if stages < 0:
         raise ValueError("stages must be nonnegative")
     if check_candidates < 0:
         raise ValueError("check candidates must be nonnegative")
+    # the seed is always the free group; its fixed g0_mode and base_steps
+    # keep every pinned build report byte-identical
     report = RunReport("build", {"stages": stages, "radius": radius, "power_bound": power_bound,
-                                 "g0_mode": g0_mode, "seed": seed, "check_candidates": check_candidates})
+                                 "g0_mode": "free", "seed": seed, "check_candidates": check_candidates})
 
     def ledger_row(state: ConstructionState) -> dict:
         return {"ledger_size": len(state.ledger), "queue_pending": len(state.z_queue),
                 "seed_ball_fraction": round(state.fractions[-1][0], 6)}
 
-    state = initial_state(radius=radius, power_bound=power_bound, g0_mode=g0_mode)
-    report.add("base", "ok", {"g0_mode": g0_mode, "base_steps": state.base_steps, **ledger_row(state)})
+    state = initial_state(radius=radius, power_bound=power_bound)
+    report.add("base", "ok", {"g0_mode": "free", "base_steps": 0, **ledger_row(state)})
     for _ in range(stages):
         state = tower_step(state)
         step = state.tower.steps[-1]

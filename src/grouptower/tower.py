@@ -18,7 +18,9 @@ Pinch-free words (``britton_reduce``) share that pinch loop.  The normal
 form of a product of two normal forms (``_nf_product``) looks only at the
 junction: by Britton's lemma pinches occur only there, cascading outward,
 so only the junction segment is rewritten to its coset representative and
-the other segments of both factors are kept as they are.
+the other segments of both factors are kept as they are.  The one
+commutation test (``_commutes_nf``) tries Britton's lemma before it
+compares products.
 
 Membership in a cyclic subgroup and coset representatives are decided
 exactly.  After cyclic reduction of the generator, Britton's lemma fixes the
@@ -895,9 +897,19 @@ def _nonzero_rational_image(tower: ExtensionTower):
     return lambda w: any(reduce(sums(w)))
 
 
+def _commutes_nf(a: Word, b: Word, tower: ExtensionTower) -> bool:
+    """``a b == b a`` for normal forms.  With ``h`` the higher of the two and
+    ``low`` the other, ``h low h^-1`` can pinch only at its innermost junction
+    (:func:`_conjugate_pinches`); if it does not, it keeps ``h``'s top letter
+    (Britton's lemma), so it is not ``low``.  Pairs at one top stage, and
+    pairs that pinch, compare the two products."""
+    h, low = (a, b) if max_stage(a) > max_stage(b) else (b, a)
+    return ((max_stage(h) == max_stage(low) or _conjugate_pinches(h, low, tower))
+            and _nf_product(a, b, tower) == _nf_product(b, a, tower))
+
+
 def commutes(a: Word, b: Word, tower: ExtensionTower) -> bool:
-    a, b = nf_word(a, tower), nf_word(b, tower)
-    return _nf_product(a, b, tower) == _nf_product(b, a, tower)
+    return _commutes_nf(nf_word(a, tower), nf_word(b, tower), tower)
 
 
 @_memoized(_ball_cache, lambda tower, radius: (tower._memos[-1], radius))

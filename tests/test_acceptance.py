@@ -26,7 +26,7 @@ W = parse_word
 
 @pytest.fixture(scope="module")
 def six_stage_report():
-    return build_suite(6, 2, 4, "free", 1000, 0)
+    return build_suite(6, 2, 4, 1000, 0)
 
 
 @pytest.fixture(scope="module")

@@ -47,7 +47,11 @@ class TestParser:
     def test_build_defaults(self):
         args = build_parser().parse_args(["build"])
         assert args.stages == 4 and args.radius == 2 and args.power_bound == 4
-        assert args.g0_mode == "free" and args.seed == 0
+        assert args.seed == 0
+        # every build starts from the free group, so no seed mode is accepted
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["build", "--g0-mode", "free"])
+        assert exc.value.code == 2
 
     def test_lemmas_flags(self):
         args = build_parser().parse_args(
@@ -138,7 +142,7 @@ class TestSubcommands:
             (["classical", "--count", "5", "--seed", "7"], lambda: _seeded(classical_suite(1, 5, "g0"), 7)),
             (
                 ["build", "--stages", "2", "--radius", "1", "--check-candidates", "40", "--seed", "3"],
-                lambda: build_suite(2, 1, 4, "free", 40, 3),
+                lambda: build_suite(2, 1, 4, 40, 3),
             ),
         ],
         ids=["field", "minstruct", "classical", "build"],
@@ -188,17 +192,21 @@ class TestTextReport:
         assert re.fullmatch(r"elapsed_s = \d+\.\d\d", lines[-1])
 
     def test_failing_build(self):
-        argv = ["build", "--stages", "1", "--radius", "1", "--g0-mode", "classical", "--check-candidates", "10"]
+        # the centralizer row blames 8 candidates in an element's own cyclic
+        # group (ROADMAP item 16); mending that row re-points this test
+        argv = ["build", "--stages", "2", "--radius", "3", "--power-bound", "3", "--check-candidates", "50"]
         code, out = run_cli(argv)
-        report = build_suite(1, 1, 4, "classical", 10, 0)
+        report = build_suite(2, 3, 3, 50, 0)
         assert code == report.exit_code == 1
         # the text is the library report's, followed by the elapsed seconds
         text = report.to_text()
         assert out.startswith(text)
         assert re.fullmatch(r"elapsed_s = \d+\.\d\d\n", out[len(text):])
-        assert "FAIL         condition-rigidity [counterexample] elements=36 undecided=0" in out
+        assert ("FAIL         condition-centralizers [counterexample] candidates_per_element=397 elements=32 "
+                "undecided=0") in out
         witnesses = [line for line in out.splitlines() if "witness:" in line]
-        assert witnesses and witnesses == [f"             witness: {w}" for c in report.checks for w in c.witnesses]
+        assert len(witnesses) == 8
+        assert witnesses == [f"             witness: {w}" for c in report.checks for w in c.witnesses]
 
     def test_undecided_total_and_other_verdicts(self):
         report = RunReport("demo", {"b": 2, "a": 1})

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -180,13 +181,6 @@ class TestTowerStep:
         tower_step(six_stage)
         assert tower_module.cyclically_reduce.cache_info().misses - misses <= 68
 
-    def test_classical_seed_mode(self):
-        state = initial_state(radius=1, power_bound=2, g0_mode="classical")
-        assert state.base_steps == 16
-        state = tower_step(state)
-        assert state.tower.num_steps == 17
-        assert state.stage == 1
-
     def test_schedule_fairness(self):
         # consumed witnesses come oldest-creation-first among the eligible
         state = initial_state(radius=1, power_bound=2)
@@ -261,13 +255,19 @@ class TestConditionChecks:
         assert report.undecided == c["undecided"] + details["undecided"]
 
     def test_rigidity_counterexamples_match_two_normal_form_loop(self):
-        # over the classical seed group 18 of the 36 outside elements have
-        # counterexamples, up to 32 each, so the row's 72 witnesses exercise
-        # the witness text and the cap of four per element
-        state = tower_step(initial_state(radius=1, power_bound=4, g0_mode="classical"))
+        # t1 g1 t1^-1 = g1^-1: 12 of the 28 outside elements have 16 or 32
+        # counterexamples each, so the row's 48 witnesses exercise the witness
+        # text and the cap of four per element; the 4 powers of g1 are zero
+        # in H1(G; Q), so their premises take the membership path
+        state = hnn_state("g1", "g1^-1", 2)
+        tower = state.tower
         rigidity = rows(check_conditions(state, min_centralizer_candidates=10))["condition-rigidity"]
         details, witnesses, _ = reference_rigidity(state)
-        assert rigidity.verdict == "counterexample" and len(witnesses) == 72
+        assert rigidity.verdict == "counterexample" and len(witnesses) == 48
+        assert sorted(Counter(w.split("|")[0] for w in witnesses).values()) == [4] * 12
+        nonzero = tower_module._nonzero_rational_image(tower)
+        outside = [y for y in ball_words(tower, 2) if y and not state.ledger.contains(y, tower)]
+        assert len(outside) == 28 and sum(not nonzero(y) for y in outside) == 4
         assert rigidity.details == details
         assert rigidity.witnesses == witnesses
 
@@ -382,16 +382,31 @@ class TestConditionChecks:
         # per-tuple loops made 5,264 commutation tests and 25,376 products,
         # the shared verdicts 6,032 products.  Britton's lemma decides 832
         # premises from the last segment of w, without the two products of
-        # each conjugate by w (the helper's own products are not counted)
-        calls = {"commutes": 0, "_nf_product": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(constructions, name)):
-                calls[_name] += 1
-                return _original(*args)
+        # each conjugate by w (the helper's own products are not counted).
+        # The commutation test compares its two products in the engine, so
+        # products are counted in both modules, but not inside a product or
+        # inside the helper.  The centralizer row makes 1,316 commutation
+        # tests (5,264 // 4), and the rigidity premises 2,784 more
+        calls = {"_commutes_nf": 0, "_nf_product": 0, "_conjugate_pinches": 0}
+        inner = [0]
 
-            monkeypatch.setattr(constructions, name, counted)
+        def counting(name, original):
+            nests = name != "_commutes_nf"
+
+            def counted(*args):
+                calls[name] += not inner[0]
+                inner[0] += nests
+                result = original(*args)
+                inner[0] -= nests
+                return result
+            return counted
+
+        monkeypatch.setattr(constructions, "_commutes_nf", counting("_commutes_nf", constructions._commutes_nf))
+        for module in (constructions, tower_module):
+            for name in ("_nf_product", "_conjugate_pinches"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         check_conditions(two_stage, 1000, seed=1001)
-        assert calls["commutes"] <= 5264 // 4
+        assert calls["_commutes_nf"] <= 5264 // 4 + 2784
         assert calls["_nf_product"] <= 4368
 
     def test_raise_outside_a_predicate_stops_build(self, two_stage, monkeypatch, capsys):
@@ -436,7 +451,7 @@ class TestConditionChecks:
         rigidity = rows(report)["condition-rigidity"].details
         assert rigidity == {"elements": elements, "undecided": len(ball) * 4}
         assert report.undecided == sum(c.details.get("undecided", 0) for c in report.checks)
-        assert build_suite(1, 1, 4, "free", 20, 0).undecided_total == len(ball) * 4
+        assert build_suite(1, 1, 4, 20, 0).undecided_total == len(ball) * 4
 
     def test_raised_premise_is_not_shared_with_the_inverse(self, two_stage, monkeypatch):
         # y and y^-1 share premise verdicts, but a raise is never stored:
@@ -448,14 +463,16 @@ class TestConditionChecks:
         )
         w = next(v for v in ball if v.unit_length == 2 and v not in (y, nf_word(y.inverse(), tower)))
         powers = {nf_word(y ** n, tower) for n in range(-4, 5) if n}
-        original = constructions._nf_product
+        # y is nonzero in H1(G; Q), so its premises are commutation tests,
+        # which compare the two products in the engine
+        original = tower_module._nf_product
 
         def undecided_at_w(a, b, tower_):
             if a == w and b in powers:
                 raise MembershipUndecided(f"{a} {b} marked undecided")
             return original(a, b, tower_)
 
-        monkeypatch.setattr(constructions, "_nf_product", undecided_at_w)
+        monkeypatch.setattr(tower_module, "_nf_product", undecided_at_w)
         report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
         assert rows(report)["condition-rigidity"].details["undecided"] == 2 * two_stage.power_bound
         assert report.undecided == 2 * two_stage.power_bound
@@ -480,12 +497,13 @@ class TestRigidityHits:
         monkeypatch.setattr(oracles, "_scan", recording)
         return streams
 
-    @pytest.mark.parametrize("case", ["two_stage", "classical"])
+    @pytest.mark.parametrize("case", ["two_stage", "hnn_g1_g1inv"])
     def test_streams_hold_only_premise_hits(self, case, two_stage, monkeypatch):
         if case == "two_stage":
             state = two_stage
         else:
-            state = tower_step(initial_state(radius=1, power_bound=4, g0_mode="classical"))
+            # t1 g1 t1^-1 = g1^-1: premises by commutation and by membership
+            state = hnn_state("g1", "g1^-1", 2)
         streams = self.record_streams(monkeypatch)
         report = check_conditions(state, 20, seed=0)
         tower = state.tower
@@ -496,7 +514,7 @@ class TestRigidityHits:
             assert len(tuples) == verdict.premise_hits + verdict.undecided
             assert verdict.checked == len(ball) * state.power_bound
         assert sum(v.premise_hits for _, v in streams) > 0
-        if case == "classical":
+        if case == "hnn_g1_g1inv":
             # the streamed tuples are exactly those meeting the premise, in order
             for y, (tuples, _) in zip(outside, streams):
                 z = z_witness(y, state)
@@ -523,14 +541,16 @@ class TestRigidityHits:
         w = next(v for v in ball if max_stage(v) == top)
         powers = {nf_word(y ** n, tower) for n in range(-4, 5) if n}
         clean = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
-        original = constructions._conjugate_pinches
+        # y is nonzero in H1(G; Q), so its premises are commutation tests,
+        # whose Britton test runs in the engine
+        original = tower_module._conjugate_pinches
 
         def undecided_at_w(w_, g, tower_):
             if w_ == w and g in powers:
                 raise MembershipUndecided(f"{w_} {g} marked undecided")
             return original(w_, g, tower_)
 
-        monkeypatch.setattr(constructions, "_conjugate_pinches", undecided_at_w)
+        monkeypatch.setattr(tower_module, "_conjugate_pinches", undecided_at_w)
         streams = self.record_streams(monkeypatch)
         report = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
         rigidity = rows(report)["condition-rigidity"]

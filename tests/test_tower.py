@@ -832,6 +832,26 @@ class TestCommutesAndCentralizers:
             for b in ball:
                 assert commutes(a, b, tower) == (not nf_word(a * b * a.inverse() * b.inverse(), tower)), (str(a), str(b))
 
+    @pytest.mark.parametrize(
+        "tower",
+        [
+            MIXED,
+            # the two-stage schedule: a free step, then t2 g0 t2^-1 = g1
+            ExtensionTower(2).extend_free().extend_hnn(W("g0"), W("g1")),
+            ExtensionTower(2).extend_hnn(W("g1^2"), W("g1^3")),
+        ],
+        ids=["hnn", "two_stage_schedule", "g1sq_g1cube"],
+    )
+    def test_britton_test_matches_the_two_products(self, tower):
+        # _commutes_nf decides a pair at two top stages by Britton's lemma
+        # before it compares the products; every answer must be the
+        # comparison's
+        ball = ball_words(tower, 2)
+        for a in ball:
+            for b in ball:
+                products = tower_module._nf_product(a, b, tower), tower_module._nf_product(b, a, tower)
+                assert tower_module._commutes_nf(a, b, tower) == (products[0] == products[1]), (str(a), str(b))
+
 
 class TestRationalImage:
     """``_nonzero_rational_image``: is a word nonzero in ``H1(G; Q)``."""
