@@ -289,13 +289,11 @@ def _candidate_pool(state: ConstructionState, minimum: int, seed: int) -> list[W
     pool = list(ball_words(tower, state.radius))
     seen = set(pool)
     rng = random.Random(f"cond-candidates-{seed}")
-    alphabet = tower.alphabet()
+    units = [u.letters[0] for u in tower.alphabet()]
     attempts = 0
     while len(pool) < minimum and attempts < 80 * minimum:
         attempts += 1
-        w = IDENTITY
-        for _ in range(rng.randint(1, state.radius + 3)):
-            w = w * rng.choice(alphabet)
+        w = Word([rng.choice(units) for _ in range(rng.randint(1, state.radius + 3))])
         v = nf_word(w, tower)
         if v not in seen:
             seen.add(v)
@@ -332,9 +330,16 @@ def check_conditions(
     ``y = z^d`` with ``d != 0``.  When y is nonzero in ``H1(G; Q)``
     (:func:`tower._nonzero_rational_image`), a map ``f: G -> Q`` with
     ``f(y) != 0`` takes a conjugate ``z^j`` of ``y^n`` to ``j f(z) = nd f(z)``,
-    so ``j = nd`` and the premise holds iff ``w y^n = y^n w``.  Both rows
-    test commutation by :func:`tower._commutes_nf`; its rigidity verdicts
-    are kept only in the premise tables, freed after their scans.  For the
+    so ``j = nd`` and the premise holds iff ``w y^n = y^n w``.  A w that
+    commutes with y^m commutes with every power of it, so these premises
+    first take one pre-test per w, whether w commutes with ``y^N`` for
+    ``N = b(b-1)`` and the power bound b (``N = 1`` when ``b = 1``), its
+    verdict kept in the premise table: a failure decides every m that
+    divides N, which is every m when ``b <= 4``, and the other m keep the
+    order above (``lcm(1..b)`` would decide every m, but its powers of y
+    grow too long).  Both rows test commutation by
+    :func:`tower._commutes_nf`; its rigidity verdicts are kept only in the
+    premise tables, freed after their scans.  For the
     other y the premise is a membership test in <z>, after the Britton test
     :func:`tower._conjugate_pinches` when w's top stage lies above z and
     y^n.  Each element's scan gets only the ``(w, m)`` that meet the
@@ -358,11 +363,15 @@ def check_conditions(
 
     # ball words are normal forms, and the ball is closed under inverses
     inverse = {w: _nf(w.inverse(), tower) for w in ball}
+    # the one key of y and y^-1 in the shared tables
+    pair = {w: frozenset((w, inverse[w])) for w in ball}
     # verdicts shared within this call
     commuting: dict[tuple[Word, frozenset], bool] = {}
     premise_tables: dict[tuple[frozenset, frozenset], dict[tuple[Word, int], bool]] = {}
     within: dict[tuple[frozenset, Word], bool] = {}
     nonzero_image = _nonzero_rational_image(tower)
+    # the power N = b(b-1) of the commutation pre-test
+    common = max(state.power_bound * (state.power_bound - 1), 1)
 
     squares: dict[Word, Word] = {}
     for y in ledger_ball:
@@ -372,7 +381,7 @@ def check_conditions(
 
     def commute(k: Word, y: Word) -> bool:
         """``k y == y k``, one answer for y and y^-1."""
-        key = (k, frozenset((y, inverse[y])))
+        key = (k, pair[y])
         if key not in commuting:
             commuting[key] = _commutes_nf(k, y, tower)
         return commuting[key]
@@ -390,6 +399,13 @@ def check_conditions(
         """Premise of ``(w, m)``: ``w y^m w^-1`` lies in <z>."""
         # a power of y commutes with y^n, so it conjugates y^n as e does
         v = IDENTITY if w in cyclic else w
+        if by_commutation and v and not common % m:
+            # w commutes with y^m only if it commutes with y^common, a multiple of m
+            verdict = premises.get((v, common))
+            if verdict is None:
+                verdict = premises[v, common] = _commutes_nf(v, powers[-1], tower)
+            if not verdict:
+                return False
         # (w y^m w^-1)^k = w y^km w^-1: a failure at a multiple of m is a
         # failure at m; the largest multiple is tested first
         for n in range(state.power_bound // m * m, 0, -m):
@@ -454,16 +470,23 @@ def check_conditions(
             rigidity_undecided += tuples
             continue
         subgroup = frozenset((z, _nf(z.inverse(), tower)))  # <z> = <z^-1>
+        by_commutation = nonzero_image(y)
         powers = [_nf(y ** m, tower) for m in range(1, state.power_bound + 1)]
+        if by_commutation:
+            # the pre-test's power y^N = (y^b)^(b-1), last; products keep no memo entry
+            power = powers[-1]
+            for _ in range(state.power_bound - 2):
+                power = _nf_product(power, powers[-1], tower)
+            powers.append(power)
         # v y^-n v^-1 = (v y^n v^-1)^-1: y and y^-1 share one premise table,
         # which the second of them takes out, so it is freed after its scan
-        share = (subgroup, frozenset((y, inverse[y])))
+        share = (subgroup, pair[y])
         premises = premise_tables.pop(share, None)
         if premises is None:
             premises = premise_tables[share] = {}
         # the powers of y in the ball, the same set for y^-1
         cyclic = {IDENTITY} | {v for p in powers if p in inverse for v in (p, inverse[p])}
-        row = (z, nonzero_image(y), premises, powers, cyclic)
+        row = (z, by_commutation, premises, powers, cyclic)
         verdict = _scan_hits("condition-rigidity", ((w,) for w in ball), state.power_bound,
                              partial(hits_of, *row), partial(rigid, subgroup, *row))
         rigidity_witnesses += [f"rigidity:{y}|{w}|{m}" for w, m in verdict.witnesses[:4]]

@@ -36,10 +36,12 @@ letter of its tower, stays in the memo of the tower's top.  A tower made by
 ``extend_free``, ``extend_hnn`` or ``truncate`` shares the memos of the
 stages it has in common with the tower it came from, so an extension reuses
 its prefix's work.  The ``cache_info()`` of ``_nf``, ``_coset``, ``_table``,
-``cyclically_reduce``, ``minimal_root`` and ``ball_words`` counts hits and
-misses over every tower so far (a call on a stage-0 word, its own result, is
-a miss) and entries over the live towers only.  ``_nf_product`` is not
-memoized, so products add no entries and are counted nowhere.
+``cyclically_reduce``, ``minimal_root``, ``_junction_pinches`` (the Britton
+verdicts of ``_conjugate_pinches``, at the conjugator's top stage) and
+``ball_words`` counts hits and misses over every tower so far (a call on a
+stage-0 word, its own result, is a miss) and entries over the live towers
+only.  ``_nf_product`` is not memoized, so products add no entries and are
+counted nowhere.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ BOUND_FLOOR = 16
 
 # entries per memo table of one stage; a full table drops its older half
 NF_BOUND = 1 << 20
-COSET_BOUND = CYCLIC_BOUND = 1 << 18
+COSET_BOUND = CYCLIC_BOUND = PINCH_BOUND = 1 << 18
 ROOT_BOUND = 1 << 16
 
 
@@ -114,14 +116,15 @@ class _StageMemo:
     """The memo tables of one tower stage, one dict each.
 
     ``nf``, ``coset``, ``powers``, ``cyclic`` and ``roots`` hold the results
-    whose arguments reach this stage and no higher.  Such a result depends
-    only on the tower up to this stage, so every tower holding the memo
-    shares it.  ``balls`` holds the balls of the tower whose top stage this
-    is.  A memo refers to no tower, so it is freed as soon as the last tower
-    holding it is.
+    whose arguments reach this stage and no higher, and ``pinches`` the
+    Britton verdicts of conjugators whose top stage this is.  Such a result
+    depends only on the tower up to this stage, so every tower holding the
+    memo shares it.  ``balls`` holds the balls of the tower whose top stage
+    this is.  A memo refers to no tower, so it is freed as soon as the last
+    tower holding it is.
     """
 
-    __slots__ = ("nf", "coset", "powers", "cyclic", "roots", "balls", "__weakref__")
+    __slots__ = ("nf", "coset", "powers", "cyclic", "roots", "pinches", "balls", "__weakref__")
 
     def __init__(self) -> None:
         for name in self.__slots__[:-1]:
@@ -170,6 +173,7 @@ _NF = _Table("nf", NF_BOUND)
 _COSET = _Table("coset", COSET_BOUND)
 _CYCLIC = _Table("cyclic", CYCLIC_BOUND)
 _ROOTS = _Table("roots", ROOT_BOUND)
+_PINCHES = _Table("pinches", PINCH_BOUND)
 # the power tables (each with ``.words``) and the enumerated balls
 _power_tables = _Table("powers")
 _ball_cache = _Table("balls")
@@ -527,17 +531,26 @@ def _conjugate_pinches(w: Word, g: Word, tower: ExtensionTower) -> bool:
     is the only new ``t``-free segment, and the only possible pinch is
     ``t^σ u t^-σ`` with ``σ`` the sign of ``e``.  When it does not pinch, the
     conjugate is reduced and keeps its ``t`` letters, so by Britton's lemma
-    it lies outside ``G_{j-1}``.
+    it lies outside ``G_{j-1}``.  At a free step ``u`` is trivial iff ``g``
+    is.  At a cyclic edge the verdict reads only ``(B, g, σ)``, so every
+    ``w`` with that last segment and sign shares it.
     """
-    x = w.letters
     j = max_stage(w)
+    if tower.step(j).is_free:
+        return not g
+    x = w.letters
     i = _run_before(x, len(x), j)
-    b = merged_word(x[i + 1 :])
+    return _junction_pinches(x[i + 1 :], g, 1 if x[i][2] > 0 else -1, j, tower)
+
+
+# keyed by B's letters: a Word per key would add an object and its hash to every entry
+@_memoized(_PINCHES, lambda letters, g, sign, j, tower: (tower._memos[j], (letters, g, sign)))
+def _junction_pinches(letters: tuple[Letter, ...], g: Word, sign: int, j: int, tower: ExtensionTower) -> bool:
+    """Whether ``t_j^sign nf(B g B^-1) t_j^-sign`` pinches at the cyclic edge
+    of step ``j``, for the merged ``letters`` of ``B``."""
+    b = merged_word(letters)
     u = _nf_product(_nf_product(b, g, tower), _nf(b.inverse(), tower), tower)
-    step = tower.step(j)
-    if step.is_free:
-        return not u
-    return _member_nf(u, _edge(step, 1 if x[i][2] > 0 else -1)[0], tower) is not None
+    return _member_nf(u, _edge(tower.step(j), sign)[0], tower) is not None
 
 
 class _PowerTable:

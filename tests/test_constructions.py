@@ -312,35 +312,64 @@ class TestConditionChecks:
             assert "rigidity:g1|t1|1" not in witnesses
 
     @pytest.mark.parametrize(
-        # the premises each case decides by commutation
+        # the premise verdicts the per-(w, n) tables held before the pre-test
+        # at y^(b(b-1)); every (w, m) of each element is checked now, so at
+        # least as many
         "case, decided",
         [("two_stage", 2880), ("six_stage", 59472),
          (("g1^2", "g1^3", 1), 12), (("g1^2", "g1^3", 2), 1008), (("g0^2", "g0^2", 2), 1192)],
     )
     def test_commutation_premises_match_membership(self, case, decided, two_stage, six_stage, monkeypatch):
-        # for y nonzero in H1(G; Q) the premise w y^n w^-1 in <z> is decided
-        # as w y^n == y^n w; every such verdict must be the membership one
+        # for y nonzero in H1(G; Q) the premise w y^m w^-1 in <z> is decided
+        # by commutation tests; the premise of every (w, m), as the scan
+        # derives it, must be the membership one
         state = {"two_stage": two_stage, "six_stage": six_stage}.get(case) or hnn_state(*case)
         tower = state.tower
+        ball = ball_words(tower, state.radius)
         scans = []
         original = constructions._scan_hits
 
         def recording(lemma_id, groups, per_group, hits_of, predicate, checked=0):
-            scans.append(hits_of.args)
-            return original(lemma_id, groups, per_group, hits_of, predicate, checked)
+            z, by_commutation, premises, powers, _ = hits_of.args
+            hits = {}
+
+            def recorded(w):
+                hits[w] = hits_of(w)
+                return hits[w]
+            if by_commutation:
+                scans.append((z, premises, powers, hits))
+            return original(lemma_id, groups, per_group, recorded, predicate, checked)
 
         monkeypatch.setattr(constructions, "_scan_hits", recording)
         check_conditions(state, 20, seed=0)
-        # y and y^-1 share a premise table, and w y^-n w^-1 = (w y^n w^-1)^-1
-        tables = {id(premises): (z, premises, powers) for z, by_commutation, premises, powers, _ in reversed(scans)
-                  if by_commutation}
+        # y and y^-1 share a premise table, and w y^-m w^-1 = (w y^m w^-1)^-1
+        membership = {}
         count = 0
-        for z, premises, powers in tables.values():
-            for (v, n), verdict in premises.items():
-                conj = nf_word(v * powers[n - 1] * v.inverse(), tower)
-                assert verdict == (tower_module._member_nf(conj, z, tower) is not None), (str(v), str(powers[0]), n)
-                count += 1
+        for z, premises, powers, hits in scans:
+            assert list(hits) == list(ball)
+            for w in ball:
+                for m in range(1, state.power_bound + 1):
+                    key = (id(premises), w, m)
+                    if key not in membership:
+                        conj = nf_word(w * powers[m - 1] * w.inverse(), tower)
+                        membership[key] = tower_module._member_nf(conj, z, tower) is not None
+                    assert ((w, m) in hits[w]) == membership[key], (str(w), str(powers[0]), m)
+                    count += 1
         assert count >= decided
+
+    @pytest.mark.parametrize("power_bound", [5, 8])
+    def test_pre_test_decides_only_the_divisors_of_its_power(self, power_bound):
+        # t1 g1^3 t1^-1 = g1^3: t1 commutes with the powers of g1^3 only, so
+        # it fails the pre-test at g1^(b(b-1)) = g1^20 or g1^56, and the
+        # premise at m = 3 (and 6), which divide neither power, still holds
+        state = hnn_state("g1^3", "g1^3", 1, power_bound=power_bound)
+        assert tower_module._nonzero_rational_image(state.tower)(W("g1"))
+        rigidity = rows(check_conditions(state, 30, seed=0))["condition-rigidity"]
+        details, witnesses, _ = reference_rigidity(state)
+        assert rigidity.details == details
+        assert rigidity.witnesses == witnesses
+        expected = {"rigidity:g1|t1|3", "rigidity:g1|t1|6"} if power_bound == 8 else {"rigidity:g1|t1|3"}
+        assert expected <= set(witnesses)
 
     def test_zero_image_premises_go_through_membership(self, monkeypatch):
         # t1 g1^2 t1^-1 = g1^3: g1 is zero in H1(G; Q), and t1 g1^2 t1^-1 lies
@@ -386,7 +415,10 @@ class TestConditionChecks:
         # The commutation test compares its two products in the engine, so
         # products are counted in both modules, but not inside a product or
         # inside the helper.  The centralizer row makes 1,316 commutation
-        # tests (5,264 // 4), and the rigidity premises 2,784 more
+        # tests (5,264 // 4), and the rigidity premises 1,404 more: a failed
+        # pre-test at y^12 decides every m <= 4, which took 2,784 tests, 2,798
+        # products and 3,332 Britton tests without it.  96 of the products
+        # build y^12 = (y^4)^3 for the 48 elements on the commutation path
         calls = {"_commutes_nf": 0, "_nf_product": 0, "_conjugate_pinches": 0}
         inner = [0]
 
@@ -406,8 +438,9 @@ class TestConditionChecks:
             for name in ("_nf_product", "_conjugate_pinches"):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         check_conditions(two_stage, 1000, seed=1001)
-        assert calls["_commutes_nf"] <= 5264 // 4 + 2784
-        assert calls["_nf_product"] <= 4368
+        assert calls["_commutes_nf"] <= 5264 // 4 + 1404
+        assert calls["_nf_product"] <= 1878
+        assert calls["_conjugate_pinches"] <= 2412
 
     def test_raise_outside_a_predicate_stops_build(self, two_stage, monkeypatch, capsys):
         # the powers of y are normal-formed outside the scan driver, so a
@@ -462,9 +495,10 @@ class TestConditionChecks:
             w for w in ball if (w ** 2).unit_length > two_stage.radius and not two_stage.ledger.contains(w, tower)
         )
         w = next(v for v in ball if v.unit_length == 2 and v not in (y, nf_word(y.inverse(), tower)))
-        powers = {nf_word(y ** n, tower) for n in range(-4, 5) if n}
         # y is nonzero in H1(G; Q), so its premises are commutation tests,
-        # which compare the two products in the engine
+        # which compare the two products in the engine, after the pre-test at
+        # y^(b(b-1)) = y^12
+        powers = {nf_word(y ** n, tower) for n in (*range(-4, 5), 12, -12) if n}
         original = tower_module._nf_product
 
         def undecided_at_w(a, b, tower_):
@@ -539,10 +573,10 @@ class TestRigidityHits:
             and max_stage(z_witness(v, two_stage)) < top
         )
         w = next(v for v in ball if max_stage(v) == top)
-        powers = {nf_word(y ** n, tower) for n in range(-4, 5) if n}
-        clean = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
         # y is nonzero in H1(G; Q), so its premises are commutation tests,
-        # whose Britton test runs in the engine
+        # whose Britton test runs in the engine, first at y^(b(b-1)) = y^12
+        powers = {nf_word(y ** n, tower) for n in (*range(-4, 5), 12, -12) if n}
+        clean = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
         original = tower_module._conjugate_pinches
 
         def undecided_at_w(w_, g, tower_):

@@ -1030,6 +1030,55 @@ class TestCacheOwnership:
             nf_word(w, tower)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "tower",
+        [MIXED, ExtensionTower(2).extend_free().extend_hnn(W("g0"), W("g1"))],
+        ids=["hnn", "two_stage_schedule"],
+    )
+    def test_britton_verdicts_are_shared_by_last_segment(self, tower, monkeypatch):
+        # by definition w g w^-1 pinches iff nf(B g B^-1) lies in the edge
+        # subgroup of t^σ, or is trivial at a free step, with t^σ w's last
+        # letter at its top stage j and B the segment after it; at a cyclic
+        # edge _conjugate_pinches keeps one verdict per (B, g, σ) in stage
+        # j's memo.  A copy of the tower starts with fresh memos
+        tower = parse_tower(format_tower(tower))
+        ball = ball_words(tower, 2)
+        keys, pairs = set(), 0
+        for w in ball:
+            j = max_stage(w)
+            if not j:
+                continue
+            step = tower.step(j)
+            last = max(i for i, lt in enumerate(w.letters) if lt.kind == STABLE and lt.index == j)
+            sign = 1 if w.letters[last].exponent > 0 else -1
+            b = Word(w.letters[last + 1 :])
+            for g in ball:
+                if max_stage(g) >= j:
+                    continue
+                u = nf_word(b * g * b.inverse(), tower)
+                edge = step.source if sign > 0 else step.target
+                expected = not u if step.is_free else in_cyclic(u, edge, tower) is not None
+                assert tower_module._conjugate_pinches(w, g, tower) == expected, (str(w), str(g))
+                if not step.is_free:
+                    keys.add((j, b.letters, g, sign))
+                    pairs += 1
+        entries = {(j, *key) for j, memo in enumerate(tower._memos) for key in memo.pinches}
+        assert entries == keys and len(keys) < pairs
+        # a raise leaves no entry
+        w, g = W("t2 g1"), W("g0 g1")
+
+        def undecided(a, b, tower_):
+            raise MembershipUndecided(f"{a} {b} marked undecided")
+
+        fresh = parse_tower(format_tower(tower))
+        monkeypatch.setattr(tower_module, "_nf_product", undecided)
+        with pytest.raises(MembershipUndecided):
+            tower_module._conjugate_pinches(w, g, fresh)
+        assert not any(memo.pinches for memo in fresh._memos)
+        monkeypatch.undo()
+        assert tower_module._conjugate_pinches(w, g, fresh) == tower_module._conjugate_pinches(w, g, tower)
+        assert [len(memo.pinches) for memo in fresh._memos] == [0, 0, 1]
+
     def test_a_full_table_drops_its_older_half(self):
         cache, table = tower_module._Table("nf", 4), {}
         for k in range(5):
