@@ -431,8 +431,12 @@ def check_conditions(
                 cyclic: set[Word], w: Word) -> list[tuple[Word, int]]:
         """The ``(w, m)`` meeting the premise, in scan order, and those whose
         premise raises."""
+        v = IDENTITY if w in cyclic else w
         hits = []
         for m in range(1, state.power_bound + 1):
+            # a stored pre-test failure (m = 1 stores it) decides every m dividing common
+            if by_commutation and not common % m and premises.get((v, common)) is False:
+                continue
             try:
                 if not meets(z, by_commutation, premises, powers, cyclic, w, m):
                     continue

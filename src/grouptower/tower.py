@@ -36,12 +36,12 @@ letter of its tower, stays in the memo of the tower's top.  A tower made by
 ``extend_free``, ``extend_hnn`` or ``truncate`` shares the memos of the
 stages it has in common with the tower it came from, so an extension reuses
 its prefix's work.  The ``cache_info()`` of ``_nf``, ``_coset``, ``_table``,
-``cyclically_reduce``, ``minimal_root``, ``_junction_pinches`` (the Britton
-verdicts of ``_conjugate_pinches``, at the conjugator's top stage) and
-``ball_words`` counts hits and misses over every tower so far (a call on a
-stage-0 word, its own result, is a miss) and entries over the live towers
-only.  ``_nf_product`` is not memoized, so products add no entries and are
-counted nowhere.
+``cyclically_reduce`` (the table of ``_axis`` records), ``minimal_root``,
+``_junction_pinches`` (the Britton verdicts of ``_conjugate_pinches``, at the
+conjugator's top stage) and ``ball_words`` counts hits and misses over every
+tower so far (a call on a stage-0 word, its own result, is a miss) and
+entries over the live towers only.  ``_nf_product`` is not memoized, so
+products add no entries and are counted nowhere.
 """
 from __future__ import annotations
 
@@ -135,6 +135,7 @@ class _StageMemo:
 _live_memos: WeakSet[_StageMemo] = WeakSet()
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_Axis = namedtuple("_Axis", "core conj stage length first")
 
 
 class _Table:
@@ -624,12 +625,11 @@ def _member_nf(nfw: Word, gen: Word, tower: ExtensionTower) -> int | None:
     if max_stage(nfw) > max_stage(nfg):
         # normal forms are stage-local: no power of gen leaves its stage
         return None
-    c, y = cyclically_reduce(nfg, tower)
-    s = max_stage(c)
+    c, y, s, length, _ = _axis(nfg, tower)
     v = _nf(y.inverse() * nfw * y, tower) if y else nfw
     if max_stage(v) > s:
         return None
-    k, rest = divmod(_stage_length(v, s), _stage_length(c, s))
+    k, rest = divmod(_stage_length(v, s), length)
     if rest or not k:
         return None
     for cand in (k, -k):
@@ -680,8 +680,7 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower) -> tuple[int, Word]:
         segments, signs = _split(nfa, top)
         k, segments[0] = _coset(segments[0], nfg, tower)
         return k, _assemble(segments, signs, top)
-    c, y = cyclically_reduce(nfg, tower)
-    s = max_stage(c)
+    c, y, s, length, _ = _axis(nfg, tower)
     b = _nf(y.inverse() * nfa, tower) if y else nfa
     if s < gen_top:
         k = _member_nf(nfa, nfg, tower)
@@ -696,7 +695,7 @@ def _coset(a: Word, gen: Word, tower: ExtensionTower) -> tuple[int, Word]:
     # (|k| - m) L > n_s(y) keeps y's pinches inside c^-(k-m), nf(gen^-k a)
     # keeps (|k| - m) L - n_s(y) of them and ends in z from that t_s (unit)
     # on, tail + m L more units.  Past these bounds no candidate wins
-    ny, nb, length = _stage_length(y, s), _stage_length(b, s), _stage_length(c, s)
+    ny, nb = _stage_length(y, s), _stage_length(b, s)
     best_k, best, best_key = 0, nfa, sort_key(nfa)
     for side in (1, -1):
         for m in (1, nb // length + 1):
@@ -752,12 +751,15 @@ def coset_rep(a: Word, generator: Word, tower: ExtensionTower) -> tuple[int, Wor
 
 
 @_memoized(_CYCLIC, _at_any_stage)
-def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
-    """Return ``(c, y)`` with ``w = y c y^-1`` and every rotation of ``c`` reduced.
+def _axis(w: Word, tower: ExtensionTower) -> _Axis:
+    """The cyclic structure of ``w``: ``w = conj core conj^-1`` with every
+    rotation of ``core`` reduced and ``conj`` a normal form, ``core``'s top
+    ``stage``, its translation ``length`` (its ``t_stage`` units; at stage 0
+    its units) and the index of its ``first`` ``t_stage`` unit (0 at stage 0).
 
     Rotating by a prefix conjugates, so whenever some rotation still reduces
     we take it and remember the prefix; each pass strictly shrinks the
-    stage-count measure, so this terminates.  ``c`` is pinch-free, so a
+    stage-count measure, so this terminates.  The core is pinch-free, so a
     rotation reduces only across its wrap: its ends cancel (alike for every
     prefix), its wrap segment is not pinch-free (only for prefixes before
     the first top-stage letter), or the last and first top letters pinch
@@ -783,7 +785,15 @@ def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
                 c = red
                 changed = True
                 break
-    return c, _nf(conj, tower)
+    return _Axis(c, _nf(conj, tower), s, _stage_length(c, s), first)
+
+
+def cyclically_reduce(w: Word, tower: ExtensionTower) -> tuple[Word, Word]:
+    """``(c, y)`` with ``w = y c y^-1`` and every rotation of ``c`` reduced."""
+    return _axis(w, tower)[:2]
+
+
+cyclically_reduce.cache_info = _axis.cache_info
 
 
 def is_conjugate_into_base(w: Word, tower: ExtensionTower) -> bool:
@@ -796,84 +806,62 @@ def is_conjugate_into_base(w: Word, tower: ExtensionTower) -> bool:
     top = tower.num_steps
     if not top:
         raise ValueError("a tower without steps has no stage below its top")
-    c, _ = cyclically_reduce(w, tower)
-    return max_stage(c) < top
+    return _axis(w, tower).stage < top
 
 
-def _free_root(c: Word) -> tuple[Word, int]:
-    """Minimal root of a cyclically reduced relation-free word: its shortest
-    proper literal period as a unit sequence, or the word itself."""
+def _root(a: Word, axis: _Axis, tower: ExtensionTower) -> tuple[Word, int]:
+    """``(w, n)`` with ``w^n = a``, searched along ``a``'s ``axis`` record
+    (a nontrivial core) at every stage.  The core, rotated to its first
+    top-stage unit, is cut into ``length`` pieces: units at stage 0, above
+    it a ``t_s^±1`` unit and the segment after it.  For each degree dividing
+    ``length``, largest first, a root lies in the family ``head * edge^m``,
+    ``head`` one period of pieces (commuting the edge-subgroup freedom
+    across the stable letters telescopes everything else away), and is
+    verified by its power.  Only ``m = 0`` applies at stage 0 and at a free
+    step, where the root is the shortest literal period."""
+    c, conj, s, length, first = axis
     units = c.units()
-    n = len(units)
-    for p in range(1, n):
-        if n % p:
+    body = units[first:] + units[:first]
+    conj = _nf(conj * Word(units[:first]), tower)
+    cuts = [i for i, lt in enumerate(body) if not s or lt.kind == STABLE and lt.index == s]
+    target = _nf(Word(body), tower)
+    step = tower.step(s) if s else None
+    for degree in range(length, 1, -1):
+        if length % degree:
             continue
-        cand = Word(units[:p])
-        if cand ** (n // p) == c:
-            return cand, n // p
-    return c, 1
+        cut = cuts[length // degree]
+        head = Word(body[:cut])
+        twists = [IDENTITY]
+        if step and not step.is_free:
+            edge = step.target if body[cut].exponent > 0 else step.source
+            for m in range(1, len(units) + BOUND_FLOOR + 1):
+                twists += [_power_word(edge, m, tower), _power_word(edge, -m, tower)]
+        for twist in twists:
+            cand = head * twist
+            if _nf(cand ** degree, tower) == target:
+                return _nf(conj * cand * conj.inverse(), tower), degree
+    return _nf(a, tower), 1
 
 
 @_memoized(_ROOTS, _at_any_stage)
 def minimal_root(a: Word, tower: ExtensionTower) -> tuple[Word, int]:
-    """``(w, n)`` with ``w^n = a`` and ``w`` admitting no proper root.
-
-    Only for elements not conjugate into the base stage: the root search
-    works along the highest stable letter of the cyclically reduced form.
-    Degrees divide the count of top-stage letters; for each degree the root,
-    if it exists, lies in the one-parameter family ``prefix * edge^m``
-    obtained by cutting the rotated word after one period (commuting the
-    edge-subgroup freedom across the stable letters telescopes everything
-    else away), so candidates are verified by direct power comparison.
-    """
+    """``(w, n)`` with ``w^n = a`` and ``w`` admitting no proper root
+    (:func:`_root`); only for elements not conjugate into the base stage."""
     tower.validate_word(a)
-    c, conj = cyclically_reduce(a, tower)
-    if not c:
+    axis = _axis(a, tower)
+    if not axis.core:
         raise PreconditionViolated("the identity has no minimal root")
-    s = max_stage(c)
-    if s == 0:
+    if not axis.stage:
         raise PreconditionViolated("element is conjugate into the base stage")
-    units = c.units()
-    first = next(i for i, lt in enumerate(units) if lt.kind == STABLE and lt.index == s)
-    prefix = Word(units[:first])
-    body = Word(units[first:] + units[:first])
-    conj = _nf(conj * prefix, tower)
-    segments, signs = _split(body, s)
-    count = len(signs)
-    target = _nf(body, tower)
-    step = tower.step(s)
-    limit = body.unit_length + BOUND_FLOOR
-    for degree in range(count, 1, -1):
-        if count % degree:
-            continue
-        k = count // degree
-        head = _assemble(segments[: k + 1], signs[:k], s)
-        if step.is_free:
-            twists: list[Word] = [IDENTITY]
-        else:
-            edge = step.target if signs[k % count] > 0 else step.source
-            twists = [IDENTITY]
-            for m in range(1, limit + 1):
-                twists.append(_power_word(edge, m, tower))
-                twists.append(_power_word(edge, -m, tower))
-        for twist in twists:
-            cand = head * twist
-            if _nf(cand ** degree, tower) == target:
-                root = _nf(conj * cand * conj.inverse(), tower)
-                return root, degree
-    return _nf(a, tower), 1
+    return _root(a, axis, tower)
 
 
 def root_witness(y: Word, tower: ExtensionTower) -> Word:
-    """Minimal root of ``y`` transported back through its cyclic conjugator."""
-    c, conj = cyclically_reduce(y, tower)
-    if not c:
+    """Minimal root of ``y``, also when ``y`` is conjugate into the base stage."""
+    axis = _axis(y, tower)
+    if not axis.core:
         raise PreconditionViolated("the identity has no root witness")
-    if max_stage(c) == 0:
-        base, _ = _free_root(c)
-        return nf_word(conj * base * conj.inverse(), tower)
-    root, _ = minimal_root(y, tower)
-    return root
+    return (minimal_root(y, tower) if axis.stage else _root(y, axis, tower))[0]
 
 
 def _nonzero_rational_image(tower: ExtensionTower):

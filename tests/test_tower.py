@@ -650,6 +650,20 @@ def reference_cyclically_reduce(w, tower, accepted):
     return c, nf_word(conj, tower)
 
 
+def reference_literal_period(c):
+    """Minimal root of a cyclically reduced relation-free word: its shortest
+    proper literal period as a unit sequence, or the word itself."""
+    units = c.units()
+    n = len(units)
+    for p in range(1, n):
+        if n % p:
+            continue
+        cand = Word(units[:p])
+        if cand ** (n // p) == c:
+            return cand, n // p
+    return c, 1
+
+
 def count_reduce_calls(monkeypatch):
     """Patch ``_reduce`` to record the word of every call; returns the list."""
     calls = []
@@ -720,6 +734,21 @@ class TestCyclicReduction:
         assert mismatches == []
         assert {"segment", "pinch"} <= {wrap_case(*a) for a in accepted if a[0] > 1}
 
+    def test_axis_record_on_reference_and_random_towers(self):
+        # the one record that membership, cosets, conjugacy and roots read
+        rng = random.Random(5)
+        towers = [HNN, FREEZ, MIXED] + [random_distorted_tower(rng) for _ in range(40)]
+        for tower in towers:
+            for w in random_words(tower, 20, 10, rng.random()):
+                core, conj, stage, length, first = tower_module._axis(w, tower)
+                assert nf_word(conj * core * conj.inverse(), tower) == nf_word(w, tower)
+                assert nf_word(conj, tower) == conj
+                assert stage == max_stage(core)
+                assert length == tower_module._stage_length(core, stage)
+                tops = [i for i, u in enumerate(core.units()) if stage and u.kind == STABLE and u.index == stage]
+                assert first == (tops[0] if stage else 0)
+                assert is_conjugate_into_base(w, tower) == (stage < tower.num_steps)
+
     def test_rotations_tried_do_not_grow_with_the_base_run(self, monkeypatch):
         # one reduction of the word and one of its first rotation, not one
         # per unit of g0^50; a fresh tower, so no memo answers the call
@@ -782,6 +811,24 @@ class TestMinimalRoot:
     ], ids=["primitive", "cube", "conjugated-square", "commutator-square"])
     def test_base_roots_by_literal_period(self, word, root):
         assert root_witness(W(word), FREEZ) == W(root)
+
+    @pytest.mark.parametrize("tower", [FREEZ, HNN], ids=["free_z", "hnn"])
+    def test_base_roots_match_the_literal_period_search(self, tower):
+        # the root search at stage 0 against the shortest literal period of
+        # the core, for free-base words, their powers and their conjugates
+        rng = random.Random(7)
+        found = set()
+        for w in random_words(FREE, 60, 6, rng.random()):
+            if not w:
+                continue
+            y = random_words(tower, 1, 4, rng.random())[0]
+            for v in (w, w ** 2, w ** 3, w ** 4, y * w * y.inverse(), y * w ** 3 * y.inverse()):
+                c, conj = cyclically_reduce(v, tower)
+                assert max_stage(c) == 0
+                root, degree = reference_literal_period(c)
+                assert root_witness(v, tower) == nf_word(conj * root * conj.inverse(), tower)
+                found.add(degree)
+        assert {1, 2, 3, 4} <= found
 
     @pytest.mark.xfail(strict=True, reason="a stage-0 cyclic core is read as having no root outside the base")
     def test_base_word_with_a_root_outside_the_base(self):
