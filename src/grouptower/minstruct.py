@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .report import RunReport
@@ -53,22 +53,52 @@ def _check_point(mode: str, p) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class F2Element:
-    mode: str
-    support: frozenset
-    # the largest support point, or None for zero; the order reads only this
-    top: object = field(init=False, compare=False, repr=False)
+class F2Element(tuple):
+    """An element ``(mode, support, top)``: the index mode, the frozenset of
+    support points, and the largest support point (None for zero), which is
+    all the order reads.
 
-    def __post_init__(self) -> None:
-        for p in self.support:
-            _check_point(self.mode, p)
-        object.__setattr__(self, "top", max(self.support) if self.support else None)
+    A bare tuple subclass: the axiom suites build, hash and compare a sum for
+    every ordered element pair, so those must stay cheap.  ``top`` follows
+    from the support, so elements are equal iff they have the same mode and
+    support.  Tuple order would compare supports by inclusion, so ``<`` and
+    its kin raise; the order is :func:`less`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mode: str, support: frozenset) -> "F2Element":
+        for p in support:
+            _check_point(mode, p)
+        return tuple.__new__(cls, (mode, support, max(support) if support else None))
+
+    def __getnewargs__(self) -> tuple:
+        return (self[0], self[1])
+
+    @property
+    def mode(self) -> str:
+        return self[0]
+
+    @property
+    def support(self) -> frozenset:
+        return self[1]
+
+    @property
+    def top(self):
+        return self[2]
+
+    def _unordered(self, other):
+        raise TypeError("exponent-2 elements are ordered by less(), not by < and its kin")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(mode={self[0]!r}, support={self[1]!r})"
 
     def __str__(self) -> str:
-        if not self.support:
+        if not self[1]:
             return "{}"
-        return "{" + ",".join(str(p).replace(" ", "") for p in sorted(self.support)) + "}"
+        return "{" + ",".join(str(p).replace(" ", "") for p in sorted(self[1])) + "}"
 
 
 def element(mode: str, points: Iterable) -> F2Element:
@@ -80,33 +110,30 @@ def zero(mode: str) -> F2Element:
 
 
 def _same_mode(a: F2Element, b: F2Element) -> None:
-    if a.mode != b.mode:
-        raise ModeMismatch(f"cannot mix modes {a.mode!r} and {b.mode!r}")
+    if a[0] != b[0]:
+        raise ModeMismatch(f"cannot mix modes {a[0]!r} and {b[0]!r}")
 
 
 def add(a: F2Element, b: F2Element) -> F2Element:
     """Symmetric difference of supports; every element is its own inverse.
 
     The sum's points are a subset of the operands' validated points, so it
-    is built without ``_check_point``."""
-    _same_mode(a, b)
-    support = a.support ^ b.support
-    total = object.__new__(F2Element)
-    object.__setattr__(total, "mode", a.mode)
-    object.__setattr__(total, "support", support)
-    object.__setattr__(total, "top", max(support) if support else None)
-    return total
+    is built without ``_check_point``; its top is read off its own support."""
+    if a[0] != b[0]:  # _same_mode raises; the guard saves a call per sum
+        _same_mode(a, b)
+    support = a[1] ^ b[1]
+    return tuple.__new__(F2Element, (a[0], support, max(support) if support else None))
 
 
 def degree(a: F2Element):
     """Largest support point, or None for the zero element."""
-    return a.top
+    return a[2]
 
 
 def less(a: F2Element, b: F2Element) -> bool:
     """Compare top support indices; zero is strictly below everything else."""
     _same_mode(a, b)
-    da, db = a.top, b.top
+    da, db = a[2], b[2]
     if db is None:
         return False
     if da is None:
@@ -249,9 +276,12 @@ def domain_points(mode: str, bound: int) -> list:
     return section[:bound]
 
 
+DOMAIN_CAP = 16  # index points of the largest exhaustive domain
+
+
 def elements_over(mode: str, points: list) -> list[F2Element]:
-    if len(points) > 16:
-        raise ValueError("exhaustive domains are capped at 16 index points")
+    if len(points) > DOMAIN_CAP:
+        raise ValueError(f"exhaustive domains are capped at {DOMAIN_CAP} index points")
     out = []
     for r in range(len(points) + 1):
         for combo in itertools.combinations(points, r):
@@ -272,6 +302,7 @@ def axiom_suite(mode: str, domain_bound: int = 8) -> AxiomReport:
     dom = elements_over(mode, points)
     deg = {el: degree(el) for el in dom}
     masks = {el: sum(1 << points.index(p) for p in el.support) for el in dom}
+    all_degs: list = [None] + sorted({d for d in deg.values() if d is not None})
     results = []
 
     # Comparisons read only the degrees of their operands, so order axioms
@@ -296,24 +327,27 @@ def axiom_suite(mode: str, domain_bound: int = 8) -> AxiomReport:
     # has no mask and is a counterexample); masks are injective, so this
     # carries associativity and commutativity of xor over to ``add``.
     # 7: adding below keeps the top; adding equals drops below (the sum's
-    # degree depends on the supports, not just the degrees)
+    # degree depends on the supports, not just the degrees, and is read off
+    # the sum's own support).  Operands compare by the rank of their degree
+    # in ``all_degs``, where the zero degree ranks 0.
     checked7 = 0
     bad7: list[str] = []
-    rows = [(x, masks[x], deg[x]) for x in dom]
+    rank = {d: r for r, d in enumerate(all_degs)}
+    rows = [(x, masks[x], deg[x], rank[deg[x]]) for x in dom]
     checked += len(dom) ** 2
-    for x, mx, dx in rows:
-        for y, my, dy in rows:
+    for x, mx, dx, rx in rows:
+        for y, my, dy, ry in rows:
             total = add(x, y)
             if masks.get(total) != mx ^ my:
                 bad.append(f"{x}+{y}")
-            if deg_less(dx, dy):
+            if rx < ry:
                 checked7 += 1
-                if degree(total) != dy:
+                if total[2] != dy:
                     bad7.append(f"below {x},{y}")
-            elif dx == dy and (dx is not None):
+            elif rx == ry and rx:
                 # the zero pair is excluded: 0 ~ 0 but 0 + 0 is not below 0
                 checked7 += 1
-                if not deg_less(degree(total), dx):
+                if total[2] is not None and not total[2] < dx:
                     bad7.append(f"equal {x},{y}")
     results.append(AxiomResult("1-group-exponent-2", not bad, checked, witnesses=tuple(bad[:4])))
 
@@ -324,8 +358,6 @@ def axiom_suite(mode: str, domain_bound: int = 8) -> AxiomReport:
         bad.append("0<0")
     results.append(AxiomResult("2-zero-minimal", not bad, checked, witnesses=tuple(bad[:4])))
 
-    degs = sorted({d for d in deg.values() if d is not None})
-    all_degs: list = [None] + degs
     reps = {d: next(x for x in dom if deg[x] == d) for d in all_degs}
 
     # 3: gap predicates partition and agree with their chain definition
@@ -484,6 +516,9 @@ def minstruct_suite(bound: int, support_bound: int, embed_bound: int) -> RunRepo
     # a bound one mode's domain cannot hold fails before any suite runs
     for mode in (OMEGA, MODE_I):
         domain_points(mode, bound)
+    for name, value in (("support bound", support_bound), ("embed bound", embed_bound)):
+        if value > DOMAIN_CAP:
+            raise ValueError(f"{name} {value}: exhaustive domains are capped at {DOMAIN_CAP} index points")
     report = RunReport(
         "minstruct", {"bound": bound, "support_bound": support_bound, "embed_bound": embed_bound}
     )

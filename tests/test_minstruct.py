@@ -1,3 +1,6 @@
+import copy
+import operator
+import pickle
 import random
 import tracemalloc
 
@@ -89,6 +92,18 @@ def reference_sum_axioms(mode, bound):
     return first, AxiomResult("7-addition-vs-order", not bad, checked, tuple(bad[:4]))
 
 
+def count_adds(monkeypatch):
+    """Wrap ``minstruct.add`` in a counter; returns the one-item count list."""
+    real, calls = minstruct.add, [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(minstruct, "add", counted)
+    return calls
+
+
 def reference_chain_cross_check(support_bound):
     """:func:`chain_cross_check` with one brute chain per ordered pair."""
     dom = elements_over(OMEGA, list(range(support_bound)))
@@ -113,6 +128,52 @@ class TestElements:
         for x in elements_over(mode, domain_points(mode, 6)):
             twin = element(mode, reversed(sorted(x.support)))
             assert twin == x and hash(twin) == hash(x)
+
+    @pytest.mark.parametrize("mode", [OMEGA, MODE_I])
+    def test_equal_iff_same_mode_and_support(self, mode):
+        dom = elements_over(mode, domain_points(mode, 4))
+        for x in dom:
+            for y in dom:
+                assert (x == y) == (x.support == y.support)
+                assert (x != y) == (x.support != y.support)
+        other = OMEGA if mode == MODE_I else MODE_I
+        # the two zeros share their empty support and differ in mode only
+        assert zero(mode) != zero(other)
+        assert {zero(mode), zero(other)} == {zero(OMEGA), zero(MODE_I)}
+        for x in dom:
+            assert copy.copy(x) == x == pickle.loads(pickle.dumps(x))
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (element(OMEGA, [2, 0]), "F2Element(mode='omega', support=frozenset({0, 2}))"),
+            (zero(OMEGA), "F2Element(mode='omega', support=frozenset())"),
+            (element(MODE_I, [(1, -3)]), "F2Element(mode='I', support=frozenset({(1, -3)}))"),
+            (zero(MODE_I), "F2Element(mode='I', support=frozenset())"),
+        ],
+    )
+    def test_repr_names_mode_and_support_only(self, x, text):
+        assert repr(x) == text
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    @pytest.mark.parametrize("mode", [OMEGA, MODE_I])
+    def test_builtin_comparisons_raise(self, mode, op):
+        # tuple order would compare supports by inclusion; the order is less()
+        a, b = (element(mode, [p]) for p in domain_points(mode, 2))
+        for x, y in ((a, b), (b, a), (a, a), (zero(mode), a), (a, (a.mode, a.support, a.top))):
+            with pytest.raises(TypeError):
+                op(x, y)
+        with pytest.raises(TypeError):
+            sorted([b, a])
+
+    @pytest.mark.parametrize("mode", [OMEGA, MODE_I])
+    def test_sum_top_is_the_largest_point_of_its_support(self, mode):
+        dom = elements_over(mode, domain_points(mode, 5))
+        for x in dom:
+            for y in dom:
+                total = add(x, y)
+                assert total.top == (max(total.support) if total.support else None)
+                assert type(total) is F2Element and total.mode == mode
 
 
 class TestAddition:
@@ -308,6 +369,34 @@ class TestAxiomSuite:
         with pytest.raises(ValueError):
             elements_over(OMEGA, list(range(20)))
 
+    @pytest.mark.parametrize("mode", [OMEGA, MODE_I])
+    @pytest.mark.parametrize("bound", [4, 6])
+    def test_each_sum_is_computed_once(self, mode, bound, monkeypatch):
+        # axiom 1 adds zero to and doubles every element, then adds every
+        # ordered pair; axiom 7 reads the same pass
+        calls = count_adds(monkeypatch)
+        report = axiom_suite(mode, bound)
+        size = len(elements_over(mode, domain_points(mode, bound)))
+        assert report.all_passed
+        assert calls[0] == 2 * size + size**2 == report.results[0].checked
+
+    def test_the_benchmark_configuration_computes_each_sum_once(self, monkeypatch):
+        # bound 7 and embed bound 6: 2 * (2 * 128 + 128**2) + 2 * 4**6 sums
+        calls = count_adds(monkeypatch)
+        assert minstruct.minstruct_suite(7, 6, 6).exit_code == 0
+        assert calls[0] == 41_472
+
+    @pytest.mark.parametrize("name", ["support_bound", "embed_bound"])
+    def test_bound_beyond_the_domain_cap_fails_before_any_suite(self, name, monkeypatch):
+        def no_suite(*args):
+            raise AssertionError("a suite ran")
+
+        for suite in ("axiom_suite", "chain_cross_check", "embedding_check"):
+            monkeypatch.setattr(minstruct, suite, no_suite)
+        bounds = {"bound": 2, "support_bound": 2, "embed_bound": 2, name: 17}
+        with pytest.raises(ValueError, match="capped at 16"):
+            minstruct.minstruct_suite(**bounds)
+
     def test_bound_beyond_mode_i_section_fails_before_any_suite(self, monkeypatch):
         # mode I holds 11 points; the omega suite alone would take minutes at 12
         def no_suite(*args):
@@ -354,6 +443,12 @@ class TestEmbedding:
 
         monkeypatch.setattr(minstruct, "add", wrong)
         assert not embedding_check(4)
+
+    @pytest.mark.parametrize("bound", [2, 4, 6])
+    def test_each_pair_adds_once_per_side(self, bound, monkeypatch):
+        calls = count_adds(monkeypatch)
+        assert embedding_check(bound)
+        assert calls[0] == 2 * 4**bound
 
     def test_zero_maps_to_zero(self):
         img = element(MODE_I, ((0, i) for i in ()))
