@@ -315,8 +315,11 @@ def check_conditions(
     whose witness is undecided counts all its rigidity tuples as undecided.
     Each row keeps up to four counterexamples per element as witnesses.
 
-    Tables local to one call share verdicts by group-axiom identities,
-    never by the condition under test; every tuple is still counted.
+    Tables share verdicts by group-axiom identities, never by the condition
+    under test; every tuple is still counted.  The premise tables and
+    Britton verdicts of the rigidity row live for one inverse pair
+    ``{y, y^-1}``, scanned back to back (witnesses stay in ball order), those
+    of the centralizer row for one ledger element, the others for one call.
     ``[k, y] = e`` iff ``[k, y^-1] = e``, and it implies ``[k, y^2] = e``:
     one commutation test serves y and y^-1, and a k that fails to commute
     with a ledger element's square (when that square is in the ledger ball)
@@ -338,14 +341,12 @@ def check_conditions(
     divides N, which is every m when ``b <= 4``, and the other m keep the
     order above (``lcm(1..b)`` would decide every m, but its powers of y
     grow too long).  Both rows test commutation by
-    :func:`tower._commutes_nf`; its rigidity verdicts are kept only in the
-    premise tables, freed after their scans.  For the
-    other y the premise is a membership test in <z>, after the Britton test
-    :func:`tower._conjugate_pinches` when w's top stage lies above z and
-    y^n.  Each element's scan gets only the ``(w, m)`` that meet the
-    premise, in scan order, and counts the others as checked
-    (:func:`oracles._scan_hits`); a premise that raises streams its tuple, so
-    the scan raises again and counts it as undecided.
+    :func:`tower._commutes_nf`.  For the other y the premise is a membership
+    test in <z>, after the Britton test :func:`tower._conjugate_pinches`
+    when w's top stage lies above z and y^n.  Each element's scan gets only
+    the ``(w, m)`` that meet the premise, in scan order, and counts the
+    others as checked (:func:`oracles._scan_hits`); a premise that raises
+    streams its tuple, so the scan raises again and counts it as undecided.
     """
     if state.stage < 1:
         raise PreconditionViolated("condition checks need at least one step")
@@ -367,7 +368,6 @@ def check_conditions(
     pair = {w: frozenset((w, inverse[w])) for w in ball}
     # verdicts shared within this call
     commuting: dict[tuple[Word, frozenset], bool] = {}
-    premise_tables: dict[tuple[frozenset, frozenset], dict[tuple[Word, int], bool]] = {}
     within: dict[tuple[frozenset, Word], bool] = {}
     nonzero_image = _nonzero_rational_image(tower)
     # the power N = b(b-1) of the commutation pre-test
@@ -379,23 +379,23 @@ def check_conditions(
         if in_ledger.get(square):
             squares[y] = square
 
-    def commute(k: Word, y: Word) -> bool:
+    def commute(k: Word, y: Word, verdicts: dict) -> bool:
         """``k y == y k``, one answer for y and y^-1."""
         key = (k, pair[y])
         if key not in commuting:
-            commuting[key] = _commutes_nf(k, y, tower)
+            commuting[key] = _commutes_nf(k, y, tower, verdicts)
         return commuting[key]
 
-    def escapes(y: Word, k: Word) -> bool:
+    def escapes(y: Word, verdicts: dict, k: Word) -> bool:
         """Premise: normal form ``k`` involves the newest letter (only such
         candidates are scanned).  Conclusion: ``k y != y k``."""
         # a k that does not commute with y^2 does not commute with y
-        if y in squares and not commute(k, squares[y]):
+        if y in squares and not commute(k, squares[y], verdicts):
             return True
-        return not commute(k, y)
+        return not commute(k, y, verdicts)
 
-    def meets(z: Word, by_commutation: bool, premises: dict[tuple[Word, int], bool], powers: list[Word],
-              cyclic: set[Word], w: Word, m: int) -> bool:
+    def meets(z: Word, by_commutation: bool, premises: dict[tuple[Word, int], bool], verdicts: dict,
+              powers: list[Word], cyclic: set[Word], w: Word, m: int) -> bool:
         """Premise of ``(w, m)``: ``w y^m w^-1`` lies in <z>."""
         # a power of y commutes with y^n, so it conjugates y^n as e does
         v = IDENTITY if w in cyclic else w
@@ -403,7 +403,7 @@ def check_conditions(
             # w commutes with y^m only if it commutes with y^common, a multiple of m
             verdict = premises.get((v, common))
             if verdict is None:
-                verdict = premises[v, common] = _commutes_nf(v, powers[-1], tower)
+                verdict = premises[v, common] = _commutes_nf(v, powers[-1], tower, verdicts)
             if not verdict:
                 return False
         # (w y^m w^-1)^k = w y^km w^-1: a failure at a multiple of m is a
@@ -415,8 +415,9 @@ def check_conditions(
                 if by_commutation:
                     # y = z^d, and a map to Q nonzero on y takes a conjugate
                     # z^j of y^n to j = nd: the conjugate is y^n itself
-                    verdict = not v or _commutes_nf(v, y_n, tower)
-                elif v and max_stage(w) > max(max_stage(z), max_stage(y_n)) and not _conjugate_pinches(w, y_n, tower):
+                    verdict = not v or _commutes_nf(v, y_n, tower, verdicts)
+                elif (v and max_stage(w) > max(max_stage(z), max_stage(y_n))
+                      and not _conjugate_pinches(w, y_n, tower, verdicts)):
                     # Britton: the conjugate keeps w's top letter, and z lies below it
                     verdict = False
                 else:
@@ -427,8 +428,8 @@ def check_conditions(
                 return False
         return True
 
-    def hits_of(z: Word, by_commutation: bool, premises: dict[tuple[Word, int], bool], powers: list[Word],
-                cyclic: set[Word], w: Word) -> list[tuple[Word, int]]:
+    def hits_of(z: Word, by_commutation: bool, premises: dict[tuple[Word, int], bool], verdicts: dict,
+                powers: list[Word], cyclic: set[Word], w: Word) -> list[tuple[Word, int]]:
         """The ``(w, m)`` meeting the premise, in scan order, and those whose
         premise raises."""
         v = IDENTITY if w in cyclic else w
@@ -438,7 +439,7 @@ def check_conditions(
             if by_commutation and not common % m and premises.get((v, common)) is False:
                 continue
             try:
-                if not meets(z, by_commutation, premises, powers, cyclic, w, m):
+                if not meets(z, by_commutation, premises, verdicts, powers, cyclic, w, m):
                     continue
             except MembershipUndecided:
                 pass  # the scan raises again and counts the tuple
@@ -446,9 +447,9 @@ def check_conditions(
         return hits
 
     def rigid(subgroup: frozenset, z: Word, by_commutation: bool, premises: dict[tuple[Word, int], bool],
-              powers: list[Word], cyclic: set[Word], w: Word, m: int) -> bool | None:
+              verdicts: dict, powers: list[Word], cyclic: set[Word], w: Word, m: int) -> bool | None:
         """Premise: ``w y^m w^-1`` lies in <z>.  Conclusion: so does ``w``."""
-        if not meets(z, by_commutation, premises, powers, cyclic, w, m):
+        if not meets(z, by_commutation, premises, verdicts, powers, cyclic, w, m):
             return None
         if (subgroup, w) not in within:
             within[subgroup, w] = _member_nf(w, z, tower) is not None
@@ -459,42 +460,45 @@ def check_conditions(
     centralizer_witnesses: list[str] = []
     centralizer_undecided = 0
     for y in ledger_ball:
-        verdict = _scan("condition-centralizers", newest, partial(escapes, y), checked=len(pool) - len(newest))
+        verdict = _scan("condition-centralizers", newest, partial(escapes, y, {}), checked=len(pool) - len(newest))
         centralizer_witnesses += [f"centralizer:{y}:{k}" for k, in verdict.witnesses[:4]]
         centralizer_undecided += verdict.undecided
 
     tuples = len(ball) * state.power_bound
-    rigidity_witnesses: list[str] = []
-    rigidity_undecided = 0
-    for y in outside:
-        try:
-            z = z_witness(y, state)
-        except MembershipUndecided:
-            # without a witness every tuple of y is undecided
-            rigidity_undecided += tuples
+    # each element's witness strings and undecided count, emitted in ball order
+    scanned: dict[Word, tuple[list[str], int]] = {}
+    for first in outside:
+        if first in scanned:
             continue
-        subgroup = frozenset((z, _nf(z.inverse(), tower)))  # <z> = <z^-1>
-        by_commutation = nonzero_image(y)
-        powers = [_nf(y ** m, tower) for m in range(1, state.power_bound + 1)]
-        if by_commutation:
-            # the pre-test's power y^N = (y^b)^(b-1), last; products keep no memo entry
-            power = powers[-1]
-            for _ in range(state.power_bound - 2):
-                power = _nf_product(power, powers[-1], tower)
-            powers.append(power)
-        # v y^-n v^-1 = (v y^n v^-1)^-1: y and y^-1 share one premise table,
-        # which the second of them takes out, so it is freed after its scan
-        share = (subgroup, pair[y])
-        premises = premise_tables.pop(share, None)
-        if premises is None:
-            premises = premise_tables[share] = {}
-        # the powers of y in the ball, the same set for y^-1
-        cyclic = {IDENTITY} | {v for p in powers if p in inverse for v in (p, inverse[p])}
-        row = (z, by_commutation, premises, powers, cyclic)
-        verdict = _scan_hits("condition-rigidity", ((w,) for w in ball), state.power_bound,
-                             partial(hits_of, *row), partial(rigid, subgroup, *row))
-        rigidity_witnesses += [f"rigidity:{y}|{w}|{m}" for w, m in verdict.witnesses[:4]]
-        rigidity_undecided += verdict.undecided
+        # y and y^-1 share one Britton dict and a premise table per <z>, freed
+        # after the pair; ledger membership by cyclic key is not inverse-symmetric
+        verdicts, tables = {}, {}
+        for y in (first,) if in_ledger[inverse[first]] else (first, inverse[first]):
+            try:
+                z = z_witness(y, state)
+            except MembershipUndecided:
+                # without a witness every tuple of y is undecided
+                scanned[y] = ([], tuples)
+                continue
+            subgroup = frozenset((z, _nf(z.inverse(), tower)))  # <z> = <z^-1>
+            by_commutation = nonzero_image(y)
+            powers = [_nf(y ** m, tower) for m in range(1, state.power_bound + 1)]
+            if by_commutation:
+                # the pre-test's power y^N = (y^b)^(b-1), last; products keep no memo entry
+                power = powers[-1]
+                for _ in range(state.power_bound - 2):
+                    power = _nf_product(power, powers[-1], tower)
+                powers.append(power)
+            # v y^-n v^-1 = (v y^n v^-1)^-1: y and y^-1 share the premise table of one <z>
+            premises = tables.setdefault(subgroup, {})
+            # the powers of y in the ball, the same set for y^-1
+            cyclic = {IDENTITY} | {v for p in powers if p in inverse for v in (p, inverse[p])}
+            row = (z, by_commutation, premises, verdicts, powers, cyclic)
+            verdict = _scan_hits("condition-rigidity", ((w,) for w in ball), state.power_bound,
+                                 partial(hits_of, *row), partial(rigid, subgroup, *row))
+            scanned[y] = ([f"rigidity:{y}|{w}|{m}" for w, m in verdict.witnesses[:4]], verdict.undecided)
+    rigidity_witnesses = [text for y in outside for text in scanned[y][0]]
+    rigidity_undecided = sum(undecided for _, undecided in scanned.values())
 
     seed_fracs = [f[0] for f in state.fractions]
     progress_pass = all(a <= b + 1e-12 for a, b in zip(seed_fracs, seed_fracs[1:]))

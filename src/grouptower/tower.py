@@ -36,12 +36,11 @@ letter of its tower, stays in the memo of the tower's top.  A tower made by
 ``extend_free``, ``extend_hnn`` or ``truncate`` shares the memos of the
 stages it has in common with the tower it came from, so an extension reuses
 its prefix's work.  The ``cache_info()`` of ``_nf``, ``_coset``, ``_table``,
-``cyclically_reduce`` (the table of ``_axis`` records), ``minimal_root``,
-``_junction_pinches`` (the Britton verdicts of ``_conjugate_pinches``, at the
-conjugator's top stage) and ``ball_words`` counts hits and misses over every
-tower so far (a call on a stage-0 word, its own result, is a miss) and
-entries over the live towers only.  ``_nf_product`` is not memoized, so
-products add no entries and are counted nowhere.
+``cyclically_reduce`` (the table of ``_axis`` records), ``minimal_root`` and
+``ball_words`` counts hits and misses over every tower so far (a call on a
+stage-0 word, its own result, is a miss) and entries over the live towers
+only.  ``_nf_product`` is not memoized, and the Britton verdicts of
+``_conjugate_pinches`` live in a dict that the caller owns.
 """
 from __future__ import annotations
 
@@ -70,7 +69,7 @@ BOUND_FLOOR = 16
 
 # entries per memo table of one stage; a full table drops its older half
 NF_BOUND = 1 << 20
-COSET_BOUND = CYCLIC_BOUND = PINCH_BOUND = 1 << 18
+COSET_BOUND = CYCLIC_BOUND = 1 << 18
 ROOT_BOUND = 1 << 16
 
 
@@ -116,15 +115,14 @@ class _StageMemo:
     """The memo tables of one tower stage, one dict each.
 
     ``nf``, ``coset``, ``powers``, ``cyclic`` and ``roots`` hold the results
-    whose arguments reach this stage and no higher, and ``pinches`` the
-    Britton verdicts of conjugators whose top stage this is.  Such a result
-    depends only on the tower up to this stage, so every tower holding the
-    memo shares it.  ``balls`` holds the balls of the tower whose top stage
+    whose arguments reach this stage and no higher.  Such a result depends
+    only on the tower up to this stage, so every tower holding the memo
+    shares it.  ``balls`` holds the balls of the tower whose top stage
     this is.  A memo refers to no tower, so it is freed as soon as the last
     tower holding it is.
     """
 
-    __slots__ = ("nf", "coset", "powers", "cyclic", "roots", "pinches", "balls", "__weakref__")
+    __slots__ = ("nf", "coset", "powers", "cyclic", "roots", "balls", "__weakref__")
 
     def __init__(self) -> None:
         for name in self.__slots__[:-1]:
@@ -174,7 +172,6 @@ _NF = _Table("nf", NF_BOUND)
 _COSET = _Table("coset", COSET_BOUND)
 _CYCLIC = _Table("cyclic", CYCLIC_BOUND)
 _ROOTS = _Table("roots", ROOT_BOUND)
-_PINCHES = _Table("pinches", PINCH_BOUND)
 # the power tables (each with ``.words``) and the enumerated balls
 _power_tables = _Table("powers")
 _ball_cache = _Table("balls")
@@ -522,7 +519,7 @@ def _nf_product(a: Word, b: Word, tower: ExtensionTower) -> Word:
     return merged_word(x[:i] + _after_run(s, ea, mid.letters + tail) if ea else mid.letters + tail)
 
 
-def _conjugate_pinches(w: Word, g: Word, tower: ExtensionTower) -> bool:
+def _conjugate_pinches(w: Word, g: Word, tower: ExtensionTower, verdicts: dict) -> bool:
     """Whether ``w g w^-1`` pinches at the innermost junction, for normal
     forms ``w`` and ``g`` with ``g`` below ``w``'s top stage ``j``.
 
@@ -533,25 +530,22 @@ def _conjugate_pinches(w: Word, g: Word, tower: ExtensionTower) -> bool:
     ``t^σ u t^-σ`` with ``σ`` the sign of ``e``.  When it does not pinch, the
     conjugate is reduced and keeps its ``t`` letters, so by Britton's lemma
     it lies outside ``G_{j-1}``.  At a free step ``u`` is trivial iff ``g``
-    is.  At a cyclic edge the verdict reads only ``(B, g, σ)``, so every
-    ``w`` with that last segment and sign shares it.
+    is.  At a cyclic edge the verdict reads only ``(j, B, g, σ)``, so every
+    ``w`` with that last segment and sign shares it in the caller's
+    ``verdicts``, keyed by B's letters (a Word per key would add an object and
+    its hash to every entry); a raise keeps nothing.
     """
     j = max_stage(w)
     if tower.step(j).is_free:
         return not g
     x = w.letters
     i = _run_before(x, len(x), j)
-    return _junction_pinches(x[i + 1 :], g, 1 if x[i][2] > 0 else -1, j, tower)
-
-
-# keyed by B's letters: a Word per key would add an object and its hash to every entry
-@_memoized(_PINCHES, lambda letters, g, sign, j, tower: (tower._memos[j], (letters, g, sign)))
-def _junction_pinches(letters: tuple[Letter, ...], g: Word, sign: int, j: int, tower: ExtensionTower) -> bool:
-    """Whether ``t_j^sign nf(B g B^-1) t_j^-sign`` pinches at the cyclic edge
-    of step ``j``, for the merged ``letters`` of ``B``."""
-    b = merged_word(letters)
-    u = _nf_product(_nf_product(b, g, tower), _nf(b.inverse(), tower), tower)
-    return _member_nf(u, _edge(tower.step(j), sign)[0], tower) is not None
+    key = (j, x[i + 1 :], g, 1 if x[i][2] > 0 else -1)
+    if key not in verdicts:
+        b = merged_word(key[1])
+        u = _nf_product(_nf_product(b, g, tower), _nf(b.inverse(), tower), tower)
+        verdicts[key] = _member_nf(u, _edge(tower.step(j), key[3])[0], tower) is not None
+    return verdicts[key]
 
 
 class _PowerTable:
@@ -898,19 +892,20 @@ def _nonzero_rational_image(tower: ExtensionTower):
     return lambda w: any(reduce(sums(w)))
 
 
-def _commutes_nf(a: Word, b: Word, tower: ExtensionTower) -> bool:
+def _commutes_nf(a: Word, b: Word, tower: ExtensionTower, verdicts: dict) -> bool:
     """``a b == b a`` for normal forms.  With ``h`` the higher of the two and
     ``low`` the other, ``h low h^-1`` can pinch only at its innermost junction
-    (:func:`_conjugate_pinches`); if it does not, it keeps ``h``'s top letter
-    (Britton's lemma), so it is not ``low``.  Pairs at one top stage, and
-    pairs that pinch, compare the two products."""
+    (:func:`_conjugate_pinches`, which keeps its verdict in the caller's
+    ``verdicts``); if it does not, it keeps ``h``'s top letter (Britton's
+    lemma), so it is not ``low``.  Pairs at one top stage, and pairs that
+    pinch, compare the two products."""
     h, low = (a, b) if max_stage(a) > max_stage(b) else (b, a)
-    return ((max_stage(h) == max_stage(low) or _conjugate_pinches(h, low, tower))
+    return ((max_stage(h) == max_stage(low) or _conjugate_pinches(h, low, tower, verdicts))
             and _nf_product(a, b, tower) == _nf_product(b, a, tower))
 
 
 def commutes(a: Word, b: Word, tower: ExtensionTower) -> bool:
-    return _commutes_nf(nf_word(a, tower), nf_word(b, tower), tower)
+    return _commutes_nf(nf_word(a, tower), nf_word(b, tower), tower, {})
 
 
 @_memoized(_ball_cache, lambda tower, radius: (tower._memos[-1], radius))

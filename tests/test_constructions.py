@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from dataclasses import replace
 
@@ -85,6 +86,19 @@ def reference_centralizers(state, candidates, seed):
 
 def rows(report):
     return {c.check_id: c for c in report.checks}
+
+
+def pair_order(state):
+    """The rigidity row's scan order: the elements outside the ledger in ball
+    order, each followed by its inverse when that is outside too."""
+    tower = state.tower
+    outside = [y for y in ball_words(tower, state.radius) if y and not state.ledger.contains(y, tower)]
+    order = []
+    for y in outside:
+        if y not in order:
+            inverse = nf_word(y.inverse(), tower)
+            order += [y, inverse] if inverse in outside else [y]
+    return order
 
 
 def hnn_state(source, target, radius, power_bound=4):
@@ -306,6 +320,11 @@ class TestConditionChecks:
         details, witnesses, _ = reference_rigidity(state)
         assert rigidity.details == details
         assert rigidity.witnesses == witnesses
+        if source == "g0^2":
+            # the scan's pair order is not ball order on the elements with
+            # witnesses, so the equality above checks that witnesses keep ball order
+            elements = list(dict.fromkeys(text[len("rigidity:"):].split("|")[0] for text in witnesses))
+            assert [str(y) for y in pair_order(state) if str(y) in elements] != elements
         if source == "g1^2":
             # t1 g1^2 t1^-1 = g1^3: the premise holds at g1^2 and g1^4, not at g1
             assert {"rigidity:g1|t1|2", "rigidity:g1|t1|4"} <= set(witnesses)
@@ -330,7 +349,7 @@ class TestConditionChecks:
         original = constructions._scan_hits
 
         def recording(lemma_id, groups, per_group, hits_of, predicate, checked=0):
-            z, by_commutation, premises, powers, _ = hits_of.args
+            z, by_commutation, premises, _, powers, _ = hits_of.args
             hits = {}
 
             def recorded(w):
@@ -370,6 +389,10 @@ class TestConditionChecks:
         assert rigidity.witnesses == witnesses
         expected = {"rigidity:g1|t1|3", "rigidity:g1|t1|6"} if power_bound == 8 else {"rigidity:g1|t1|3"}
         assert expected <= set(witnesses)
+        # the row scans inverse pairs, and still reports its witnesses in ball order
+        ball = list(ball_words(state.tower, state.radius))
+        positions = [ball.index(W(text[len("rigidity:"):].split("|")[0])) for text in rigidity.witnesses]
+        assert positions == sorted(positions)
 
     def test_zero_image_premises_go_through_membership(self, monkeypatch):
         # t1 g1^2 t1^-1 = g1^3: g1 is zero in H1(G; Q), and t1 g1^2 t1^-1 lies
@@ -418,15 +441,21 @@ class TestConditionChecks:
         # tests (5,264 // 4), and the rigidity premises 1,404 more: a failed
         # pre-test at y^12 decides every m <= 4, which took 2,784 tests, 2,798
         # products and 3,332 Britton tests without it.  96 of the products
-        # build y^12 = (y^4)^3 for the 48 elements on the commutation path
+        # build y^12 = (y^4)^3 for the 48 elements on the commutation path.
+        # The Britton tests compute 818 verdicts, one per (j, B, g, σ) within
+        # an inverse pair of the rigidity row or a ledger element of the
+        # centralizer row
         calls = {"_commutes_nf": 0, "_nf_product": 0, "_conjugate_pinches": 0}
         inner = [0]
+        verdicts = {}
 
         def counting(name, original):
             nests = name != "_commutes_nf"
 
             def counted(*args):
                 calls[name] += not inner[0]
+                if name == "_conjugate_pinches":
+                    verdicts[id(args[3])] = args[3]
                 inner[0] += nests
                 result = original(*args)
                 inner[0] -= nests
@@ -441,6 +470,45 @@ class TestConditionChecks:
         assert calls["_commutes_nf"] <= 5264 // 4 + 1404
         assert calls["_nf_product"] <= 1878
         assert calls["_conjugate_pinches"] <= 2412
+        assert sum(map(len, verdicts.values())) <= 818
+
+    def test_rigidity_tables_live_for_one_inverse_pair(self, two_stage, monkeypatch):
+        # each rigidity scan receives a premise table and a Britton dict: y
+        # and y^-1 share both (the premise table when their witnesses
+        # generate one <z>), no dict serves two pairs, and the check holds no
+        # dict of a pair once the next pair starts, nor any once it returns
+        tower = two_stage.tower
+        order = pair_order(two_stage)
+        pair_of = {y: frozenset((y, nf_word(y.inverse(), tower))) for y in order}
+        scans, kept = [], []  # (pair, <z>, premise table id, Britton dict id) per scan; the dicts
+        unchecked = [0]  # the first dict of the pair being scanned
+        original = constructions._scan_hits
+
+        def released(start):
+            # referred to by kept alone; indices, so that no frame holds a dict
+            gc.collect()
+            return all(gc.get_referrers(kept[i]) == [kept] for i in range(start, len(kept)))
+
+        def recording(lemma_id, groups, per_group, hits_of, predicate, checked=0):
+            z, _, premises, verdicts, powers, _ = hits_of.args
+            pair = pair_of[powers[0]]
+            if scans and scans[-1][0] != pair:
+                assert released(unchecked[0])
+                unchecked[0] = len(kept)
+            scans.append((pair, frozenset((z, nf_word(z.inverse(), tower))), id(premises), id(verdicts)))
+            kept.extend((premises, verdicts))
+            return original(lemma_id, groups, per_group, hits_of, predicate, checked)
+
+        monkeypatch.setattr(constructions, "_scan_hits", recording)
+        check_conditions(two_stage, 20, seed=0)
+        assert [scan[0] for scan in scans] == [pair_of[y] for y in order]
+        assert released(0)
+        owner = {}
+        for pair, subgroup, premises, verdicts in scans:
+            assert owner.setdefault(verdicts, pair) == pair
+            assert owner.setdefault(premises, (pair, subgroup)) == (pair, subgroup)
+        shared = [(a, b) for a, b in zip(scans, scans[1:]) if a[0] == b[0]]
+        assert shared and all(a[3] == b[3] and (a[2] == b[2]) == (a[1] == b[1]) for a, b in shared)
 
     def test_raise_outside_a_predicate_stops_build(self, two_stage, monkeypatch, capsys):
         # the powers of y are normal-formed outside the scan driver, so a
@@ -549,8 +617,9 @@ class TestRigidityHits:
             assert verdict.checked == len(ball) * state.power_bound
         assert sum(v.premise_hits for _, v in streams) > 0
         if case == "hnn_g1_g1inv":
-            # the streamed tuples are exactly those meeting the premise, in order
-            for y, (tuples, _) in zip(outside, streams):
+            # the streamed tuples are exactly those meeting the premise, in
+            # order; the elements are scanned in inverse pairs
+            for y, (tuples, _) in zip(pair_order(state), streams):
                 z = z_witness(y, state)
                 expected = [
                     (w, m)
@@ -579,10 +648,10 @@ class TestRigidityHits:
         clean = check_conditions(two_stage, min_centralizer_candidates=20, seed=0)
         original = tower_module._conjugate_pinches
 
-        def undecided_at_w(w_, g, tower_):
+        def undecided_at_w(w_, g, tower_, verdicts):
             if w_ == w and g in powers:
                 raise MembershipUndecided(f"{w_} {g} marked undecided")
-            return original(w_, g, tower_)
+            return original(w_, g, tower_, verdicts)
 
         monkeypatch.setattr(tower_module, "_conjugate_pinches", undecided_at_w)
         streams = self.record_streams(monkeypatch)

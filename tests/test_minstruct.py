@@ -397,6 +397,22 @@ class TestAxiomSuite:
         with pytest.raises(ValueError, match="capped at 16"):
             minstruct.minstruct_suite(**bounds)
 
+    @pytest.mark.parametrize("name, cap", [("support_bound", 12), ("embed_bound", 10)])
+    def test_bound_beyond_its_check_cap_fails_before_any_suite(self, name, cap, monkeypatch):
+        # each further point costs about 4x, so a mistyped bound would run for
+        # hours; the cap itself is accepted
+        def no_suite(*args):
+            raise AssertionError("a suite ran")
+
+        for suite in ("axiom_suite", "chain_cross_check", "embedding_check"):
+            monkeypatch.setattr(minstruct, suite, no_suite)
+        bounds = {"bound": 2, "support_bound": 2, "embed_bound": 2}
+        for value in (cap + 1, 16):
+            with pytest.raises(ValueError, match=f"{name.replace('_', ' ')} {value}: .* this check at {cap}$"):
+                minstruct.minstruct_suite(**{**bounds, name: value})
+        with pytest.raises(AssertionError, match="a suite ran"):
+            minstruct.minstruct_suite(**{**bounds, name: cap})
+
     def test_bound_beyond_mode_i_section_fails_before_any_suite(self, monkeypatch):
         # mode I holds 11 points; the omega suite alone would take minutes at 12
         def no_suite(*args):

@@ -531,6 +531,7 @@ def test_conjugate_pinches_matches_the_normal_form_of_the_conjugate(seed):
         towers = [random_distorted_tower(rng) for _ in range(8)]
     answers = set()
     for tower in towers:
+        verdicts = {}
         for w in random_words(tower, 20, 6, rng.random()):
             w = nf_word(w, tower)
             j = max_stage(w)
@@ -545,7 +546,7 @@ def test_conjugate_pinches_matches_the_normal_form_of_the_conjugate(seed):
                 gs += [b.inverse() * a ** rng.choice((1, -1, 2)) * b for a in (step.source, step.target)]
             for g in gs:
                 g = nf_word(g, tower)
-                pinches = tower_module._conjugate_pinches(w, g, tower)
+                pinches = tower_module._conjugate_pinches(w, g, tower, verdicts)
                 answers.add(pinches)
                 if pinches:
                     u = b * g * b.inverse()
@@ -894,10 +895,11 @@ class TestCommutesAndCentralizers:
         # before it compares the products; every answer must be the
         # comparison's
         ball = ball_words(tower, 2)
+        verdicts = {}
         for a in ball:
             for b in ball:
                 products = tower_module._nf_product(a, b, tower), tower_module._nf_product(b, a, tower)
-                assert tower_module._commutes_nf(a, b, tower) == (products[0] == products[1]), (str(a), str(b))
+                assert tower_module._commutes_nf(a, b, tower, verdicts) == (products[0] == products[1]), (str(a), str(b))
 
 
 class TestRationalImage:
@@ -1086,11 +1088,10 @@ class TestCacheOwnership:
         # by definition w g w^-1 pinches iff nf(B g B^-1) lies in the edge
         # subgroup of t^σ, or is trivial at a free step, with t^σ w's last
         # letter at its top stage j and B the segment after it; at a cyclic
-        # edge _conjugate_pinches keeps one verdict per (B, g, σ) in stage
-        # j's memo.  A copy of the tower starts with fresh memos
-        tower = parse_tower(format_tower(tower))
+        # edge _conjugate_pinches keeps one verdict per (j, B, g, σ) in the
+        # dict its caller passes, and nothing in the tower's memos
         ball = ball_words(tower, 2)
-        keys, pairs = set(), 0
+        verdicts, keys, pairs, tested = {}, set(), 0, 0
         for w in ball:
             j = max_stage(w)
             if not j:
@@ -1105,26 +1106,28 @@ class TestCacheOwnership:
                 u = nf_word(b * g * b.inverse(), tower)
                 edge = step.source if sign > 0 else step.target
                 expected = not u if step.is_free else in_cyclic(u, edge, tower) is not None
-                assert tower_module._conjugate_pinches(w, g, tower) == expected, (str(w), str(g))
+                assert tower_module._conjugate_pinches(w, g, tower, verdicts) == expected, (str(w), str(g))
+                tested += 1
                 if not step.is_free:
                     keys.add((j, b.letters, g, sign))
                     pairs += 1
-        entries = {(j, *key) for j, memo in enumerate(tower._memos) for key in memo.pinches}
-        assert entries == keys and len(keys) < pairs
+        # 888 of the 1,228 pairs are at a cyclic edge, and they share 370 verdicts
+        assert set(verdicts) == keys
+        assert (len(keys), pairs, tested) == (370, 888, 1228)
         # a raise leaves no entry
         w, g = W("t2 g1"), W("g0 g1")
 
         def undecided(a, b, tower_):
             raise MembershipUndecided(f"{a} {b} marked undecided")
 
-        fresh = parse_tower(format_tower(tower))
+        fresh = {}
         monkeypatch.setattr(tower_module, "_nf_product", undecided)
         with pytest.raises(MembershipUndecided):
-            tower_module._conjugate_pinches(w, g, fresh)
-        assert not any(memo.pinches for memo in fresh._memos)
+            tower_module._conjugate_pinches(w, g, tower, fresh)
+        assert fresh == {}
         monkeypatch.undo()
-        assert tower_module._conjugate_pinches(w, g, fresh) == tower_module._conjugate_pinches(w, g, tower)
-        assert [len(memo.pinches) for memo in fresh._memos] == [0, 0, 1]
+        assert tower_module._conjugate_pinches(w, g, tower, fresh) == tower_module._conjugate_pinches(w, g, tower, {})
+        assert list(fresh) == [(2, W("g1").letters, g, 1)]
 
     def test_a_full_table_drops_its_older_half(self):
         cache, table = tower_module._Table("nf", 4), {}
